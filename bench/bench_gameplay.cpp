@@ -39,6 +39,7 @@ namespace gtpar {
 namespace {
 
 using bench::fmt;
+using bench::num_or_null;
 using Clock = std::chrono::steady_clock;
 
 SessionOptions scratch_options() {
@@ -107,7 +108,8 @@ struct FixedTimeRow {
   unsigned reuse_solved = 0, scratch_solved = 0;
   /// Completed depth averaged over positions NEITHER variant solved:
   /// exact solves stop iterative deepening early, so depth across all
-  /// positions would punish the variant that solves more of them.
+  /// positions would punish the variant that solves more of them. No
+  /// figure (JSON null, table "n/a") when there are no such positions.
   unsigned unsolved_positions = 0;
   double reuse_mean_depth = 0, scratch_mean_depth = 0;
   std::uint64_t reuse_nodes = 0, scratch_nodes = 0;
@@ -206,12 +208,13 @@ void write_json(const char* path, const std::vector<FixedStrengthRow>& solved,
         f,
         "    {\"budget_ms\": %llu, \"game\": \"mnk-5x3-k3\", "
         "\"positions\": %u, \"reuse_solved\": %u, \"scratch_solved\": %u, "
-        "\"unsolved_positions\": %u, \"reuse_mean_depth\": %.2f, "
-        "\"scratch_mean_depth\": %.2f, \"reuse_nodes\": %llu, "
+        "\"unsolved_positions\": %u, \"reuse_mean_depth\": %s, "
+        "\"scratch_mean_depth\": %s, \"reuse_nodes\": %llu, "
         "\"scratch_nodes\": %llu}%s\n",
         static_cast<unsigned long long>(t.budget_ms), t.positions,
         t.reuse_solved, t.scratch_solved, t.unsolved_positions,
-        t.reuse_mean_depth, t.scratch_mean_depth,
+        num_or_null(t.unsolved_positions != 0, t.reuse_mean_depth).c_str(),
+        num_or_null(t.unsolved_positions != 0, t.scratch_mean_depth).c_str(),
         static_cast<unsigned long long>(t.reuse_nodes),
         static_cast<unsigned long long>(t.scratch_nodes),
         i + 1 < timed.size() ? "," : "");
@@ -308,9 +311,11 @@ int run(const char* json_path, bool check) {
                    "scratch nodes"});
   for (const std::uint64_t ms : {2ull, 10ull}) {
     FixedTimeRow row = fixed_time(big, ms);
+    const bool has_depth = row.unsolved_positions != 0;
     t2.row({fmt(row.budget_ms), fmt(row.positions), fmt(row.reuse_solved),
             fmt(row.scratch_solved), fmt(row.unsolved_positions),
-            fmt(row.reuse_mean_depth), fmt(row.scratch_mean_depth),
+            has_depth ? fmt(row.reuse_mean_depth) : "n/a",
+            has_depth ? fmt(row.scratch_mean_depth) : "n/a",
             fmt(row.reuse_nodes), fmt(row.scratch_nodes)});
     timed.push_back(row);
   }

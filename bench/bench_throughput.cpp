@@ -98,6 +98,8 @@
 namespace gtpar {
 namespace {
 
+using bench::num_or_null;
+
 // --- Micro benchmarks (unchanged role: simulator regression guard). ---------
 
 void BM_SequentialSolveRecursive(benchmark::State& state) {
@@ -463,13 +465,6 @@ struct Headlines {
   double p99_completion_over_avg = 0.0;    // 8-worker 2000 ns sleep cell
   double batch_kernel_speedup = 0.0;       // min(solve, ab) flat/batch ratio
 };
-
-/// A field value that is either a measured number or JSON null (a counter
-/// the row's scheduler / code path doesn't have — see CellResult).
-std::string num_or_null(bool has, std::uint64_t v) {
-  return has ? std::to_string(static_cast<unsigned long long>(v))
-             : std::string("null");
-}
 
 void write_json(const char* path, const std::vector<CellResult>& cells,
                 std::size_t requests, int reps, const Headlines& h,

@@ -90,6 +90,16 @@ inline std::string fmt(double v, int prec = 2) {
 inline std::string fmt(std::uint64_t v) { return std::to_string(v); }
 inline std::string fmt(unsigned v) { return std::to_string(v); }
 
+/// A JSON field value that is either a measured number or `null`, for a
+/// figure the row does not have (a counter its code path lacks, a mean
+/// over no samples) — never a fake zero.
+inline std::string num_or_null(bool has, std::uint64_t v) {
+  return has ? fmt(v) : std::string("null");
+}
+inline std::string num_or_null(bool has, double v, int prec = 2) {
+  return has ? fmt(v, prec) : std::string("null");
+}
+
 /// Nearest-rank percentile: the smallest sample element x such that at
 /// least ceil(q * n) of the sample is <= x. q is clamped to [0, 1] — q = 0
 /// returns the minimum, q = 1 the maximum — and an empty sample returns 0.

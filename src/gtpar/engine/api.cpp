@@ -25,6 +25,12 @@
 #include "gtpar/tree/pv.hpp"
 
 namespace gtpar {
+
+bool reads_shared_tt(Algorithm a) noexcept {
+  return a == Algorithm::kMtSequentialAb || a == Algorithm::kMtParallelAb ||
+         a == Algorithm::kIterativeDeepeningAb;
+}
+
 namespace {
 
 /// Algorithms that need an implicit tree; everything else reads req.tree.

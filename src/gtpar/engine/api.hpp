@@ -81,6 +81,11 @@ enum class Algorithm : std::uint8_t {
 /// True for the MIN/MAX family, false for the NOR/SOLVE family.
 bool is_minimax_algorithm(Algorithm a) noexcept;
 
+/// True for the algorithms that read SearchRequest::tt (kMtSequentialAb,
+/// kMtParallelAb, kIterativeDeepeningAb): the only requests the Engine
+/// arms with its shared table and ages the table's generation for.
+bool reads_shared_tt(Algorithm a) noexcept;
+
 /// Stable lower-case identifier (e.g. "mt-parallel-ab"), used by the
 /// check registry and the benchmarks.
 const char* algorithm_name(Algorithm a) noexcept;
@@ -118,9 +123,10 @@ struct SearchRequest {
   std::uint64_t grain = 0;
   /// Shared transposition table for the Mt alpha-beta cores (exact subtree
   /// values keyed by tree fingerprint + node). Null = the per-search
-  /// private memo. The Engine arms this with its own table so concurrent
-  /// requests share each other's results; the table must outlive the
-  /// search. See engine/tt.hpp.
+  /// private memo. The Engine arms this with its own table for the
+  /// algorithms that read it (reads_shared_tt) so concurrent requests
+  /// share each other's results; the table must outlive the search. See
+  /// engine/tt.hpp.
   TranspositionTable* tt = nullptr;
   /// Promotion ablation knob (kMtParallelAb).
   bool promotion = true;

@@ -313,10 +313,12 @@ SearchJob Engine::submit(SearchRequest req, CompletionFn on_complete) {
   st->req = std::move(req);
   st->on_complete = std::move(on_complete);
   st->req.limits.cancel = &st->cancel;
-  if (impl_->tt && st->req.tt == nullptr) {
-    // Arm the shared table (ignored by algorithms that don't consume it)
-    // and age the replacement priority of previous submissions' entries —
-    // unless the request pins the generation (session follow-up moves).
+  if (impl_->tt && st->req.tt == nullptr &&
+      reads_shared_tt(st->req.algorithm)) {
+    // Arm the shared table and age the replacement priority of previous
+    // submissions' entries — unless the request pins the generation
+    // (session follow-up moves). Requests that never read the table
+    // neither get it nor age it.
     st->req.tt = impl_->tt.get();
     if (!st->req.tt_pin_generation) impl_->tt->new_generation();
   }

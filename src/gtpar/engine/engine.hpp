@@ -179,10 +179,11 @@ class Engine {
     /// wait() against hanging on a wedged evaluator.
     std::uint64_t stall_timeout_ns = 0;
     /// Shared transposition table size (entries, rounded up to a power of
-    /// two; 16 bytes each). Every Mt alpha-beta request whose
-    /// SearchRequest::tt is null is armed with this table, so concurrent
-    /// and repeat searches reuse each other's exact subtree values. 0
-    /// disables the table (per-search private memos, the old behaviour).
+    /// two; 16 bytes each). Every request whose algorithm reads the table
+    /// (reads_shared_tt: the Mt alpha-beta cascades and iterative
+    /// deepening) and whose SearchRequest::tt is null is armed with it, so
+    /// concurrent and repeat searches reuse each other's exact subtree
+    /// values. 0 disables the table (per-search private memos).
     std::size_t tt_entries = std::size_t{1} << 16;
     /// Pin scheduler workers round-robin over online CPUs
     /// (WorkStealingPool::Options::pin_workers; work-stealing only, Linux

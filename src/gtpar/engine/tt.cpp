@@ -47,8 +47,16 @@ TranspositionTable::TranspositionTable(std::size_t entries, bool huge_pages) {
   mask_ = cap - 1;
 }
 
+TranspositionTable::StatShard& TranspositionTable::shard() noexcept {
+  static std::atomic<unsigned> next{0};
+  thread_local const unsigned index =
+      next.fetch_add(1, std::memory_order_relaxed) % kStatShards;
+  return shards_[index];
+}
+
 bool TranspositionTable::probe(std::uint64_t key, Value& out) noexcept {
-  probes_.fetch_add(1, std::memory_order_relaxed);
+  StatShard& s = shard();
+  s.probes.fetch_add(1, std::memory_order_relaxed);
   const Entry& e = slots_[key & mask_];
   // Read order doesn't matter: any torn / mismatched pair fails the
   // checksum. Relaxed is sufficient — the value is validated by content,
@@ -58,10 +66,10 @@ bool TranspositionTable::probe(std::uint64_t key, Value& out) noexcept {
   const std::uint64_t data = e.data.load(std::memory_order_relaxed);
   if ((data & kPresent) == 0) return false;
   if ((check ^ data) != key) {
-    collisions_.fetch_add(1, std::memory_order_relaxed);
+    s.collisions.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  s.hits.fetch_add(1, std::memory_order_relaxed);
   out = unpack_value(data);
   return true;
 }
@@ -78,7 +86,7 @@ void TranspositionTable::store(std::uint64_t key, Value value,
     // Depth-preferred: a heavier same-generation incumbent survives. The
     // incumbent may be a different key — that's the policy working, not a
     // bug: the heavier subtree costs more to recompute.
-    kept_.fetch_add(1, std::memory_order_relaxed);
+    shard().kept.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   // Two plain stores; a concurrent probe of a half-written pair fails the
@@ -87,7 +95,7 @@ void TranspositionTable::store(std::uint64_t key, Value value,
   // store — safe, merely a lost entry.
   e.check.store(key ^ data, std::memory_order_relaxed);
   e.data.store(data, std::memory_order_relaxed);
-  stores_.fetch_add(1, std::memory_order_relaxed);
+  shard().stores.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TranspositionTable::clear() noexcept {
@@ -100,11 +108,13 @@ void TranspositionTable::clear() noexcept {
 
 TranspositionTable::Stats TranspositionTable::stats() const noexcept {
   Stats s;
-  s.probes = probes_.load(std::memory_order_relaxed);
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.stores = stores_.load(std::memory_order_relaxed);
-  s.collisions = collisions_.load(std::memory_order_relaxed);
-  s.kept = kept_.load(std::memory_order_relaxed);
+  for (const StatShard& sh : shards_) {
+    s.probes += sh.probes.load(std::memory_order_relaxed);
+    s.hits += sh.hits.load(std::memory_order_relaxed);
+    s.stores += sh.stores.load(std::memory_order_relaxed);
+    s.collisions += sh.collisions.load(std::memory_order_relaxed);
+    s.kept += sh.kept.load(std::memory_order_relaxed);
+  }
   return s;
 }
 

@@ -24,14 +24,24 @@
 // Replacement is depth-preferred within the current generation: a store
 // overwrites an empty slot, any slot from another generation (aged out),
 // or a same-generation slot of smaller-or-equal weight. The 8-bit
-// generation counter is bumped by the engine as requests are admitted, so
-// long-gone requests' entries lose their protection; rollover (256
+// generation counter is bumped by the engine as requests that read the
+// table are admitted (reads_shared_tt in engine/api.hpp), so long-gone
+// requests' entries lose their protection; rollover (256
 // generations) is benign — it only re-protects stale entries until they
 // lose a weight comparison.
 //
 // Only *exact* values are stored (computed with no cutoff below the node),
 // so a hit is usable under any (alpha, beta) window — the same contract
 // the per-search memo had.
+//
+// Object layout: the slot header (slots_, mask_) is read by every probe
+// and store and never written after construction; the generation word is
+// written by every armed submission and gets a cache line of its own; the
+// statistics counters are split into kStatShards cache-line-sized shards,
+// each thread incrementing the shard its thread-local index selects, and
+// stats() sums them. Shared counters would make every probe and store from
+// every worker a contended read-modify-write on one line (and, beside the
+// header and generation, invalidate those too), serialising the workers.
 #pragma once
 
 #include <atomic>
@@ -141,15 +151,29 @@ class TranspositionTable {
     std::size_t bytes;
     void operator()(Entry* p) const noexcept;
   };
+  static constexpr std::size_t kCacheLine = 64;
+  /// Counter shards per table. Threads take indices round-robin on first
+  /// use, so up to this many threads that start together (an engine's
+  /// workers) count without sharing a line; threads whose indices meet
+  /// modulo kStatShards share a shard, which stays exact (the increments
+  /// are atomic).
+  static constexpr unsigned kStatShards = 32;
+
+  struct alignas(kCacheLine) StatShard {
+    std::atomic<std::uint64_t> probes{0};
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> stores{0};
+    std::atomic<std::uint64_t> collisions{0};
+    std::atomic<std::uint64_t> kept{0};
+  };
+  /// The calling thread's counter shard.
+  StatShard& shard() noexcept;
+
+  // Read-only after construction.
   std::unique_ptr<Entry[], AlignedFree> slots_;
   std::uint64_t mask_ = 0;
-  std::atomic<std::uint8_t> gen_{0};
-
-  mutable std::atomic<std::uint64_t> probes_{0};
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> stores_{0};
-  mutable std::atomic<std::uint64_t> collisions_{0};
-  mutable std::atomic<std::uint64_t> kept_{0};
+  alignas(kCacheLine) std::atomic<std::uint8_t> gen_{0};
+  StatShard shards_[kStatShards];
 };
 
 }  // namespace gtpar

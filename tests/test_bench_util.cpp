@@ -1,6 +1,8 @@
-// Nearest-rank percentile shared by the bench binaries and gtpload.
+// Nearest-rank percentile shared by the bench binaries and gtpload, and the
+// no-fake-zero JSON field helper shared by the bench writers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -48,6 +50,20 @@ TEST(Percentile, Duplicates) {
   EXPECT_EQ(percentile(v, 0.5), 1.0);
   EXPECT_EQ(percentile(v, 0.75), 1.0);
   EXPECT_EQ(percentile(v, 0.76), 9.0);
+}
+
+TEST(NumOrNull, IntegerFieldIsNumberOrNull) {
+  EXPECT_EQ(num_or_null(true, std::uint64_t{0}), "0");
+  EXPECT_EQ(num_or_null(true, std::uint64_t{18446744073709551615ull}),
+            "18446744073709551615");
+  EXPECT_EQ(num_or_null(false, std::uint64_t{42}), "null");
+}
+
+TEST(NumOrNull, RealFieldKeepsPrecisionOrIsNull) {
+  EXPECT_EQ(num_or_null(true, 5.0), "5.00");
+  EXPECT_EQ(num_or_null(true, 0.0), "0.00") << "a measured zero stays a zero";
+  EXPECT_EQ(num_or_null(true, 2.345, 1), "2.3");
+  EXPECT_EQ(num_or_null(false, 0.0), "null") << "no figure is not a zero";
 }
 
 }  // namespace

@@ -103,14 +103,19 @@ TEST(TranspositionTable, ConcurrentHammerNeverYieldsTornValues) {
   // tiny (slot-contended) table, every probe hit must return the value that
   // was stored under that exact key — a torn check/data pair must read as a
   // miss. Values are derived from keys so a cross-key leak is detectable.
+  // The per-thread counter shards must sum to exactly the calls made, and
+  // must not bleed into another table.
   TranspositionTable tt(64);
+  TranspositionTable idle(64);
   const auto value_of = [](std::uint64_t key) {
     return static_cast<Value>(static_cast<std::uint32_t>(mix64(key)) & 0x7FFFFFFF);
   };
   std::atomic<bool> torn{false};
+  std::atomic<bool> go{false};  // start together so the loops overlap
   std::vector<std::thread> threads;
   for (unsigned who = 0; who < 4; ++who) {
     threads.emplace_back([&, who] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (std::uint64_t i = 0; i < 20000; ++i) {
         const std::uint64_t key =
             TranspositionTable::node_key(who + 1, NodeId(i % 512));
@@ -123,11 +128,20 @@ TEST(TranspositionTable, ConcurrentHammerNeverYieldsTornValues) {
       }
     });
   }
+  go.store(true, std::memory_order_release);
   for (auto& th : threads) th.join();
   EXPECT_FALSE(torn.load()) << "a probe returned a value stored under a different key";
   const auto s = tt.stats();
-  EXPECT_GT(s.probes, 0u);
+  EXPECT_EQ(s.probes, 80000u);
+  EXPECT_EQ(s.stores + s.kept, 80000u);
   EXPECT_GT(s.stores, 0u);
+  EXPECT_LE(s.hits + s.collisions, s.probes);
+  const auto z = idle.stats();
+  EXPECT_EQ(z.probes, 0u);
+  EXPECT_EQ(z.hits, 0u);
+  EXPECT_EQ(z.stores, 0u);
+  EXPECT_EQ(z.collisions, 0u);
+  EXPECT_EQ(z.kept, 0u);
 }
 
 // --- End-to-end: shared TT on vs off across the engine. ---------------------
@@ -199,6 +213,36 @@ TEST(EngineTT, FingerprintKeysShareAcrossIdenticalTreeObjects) {
   EXPECT_EQ(eng.run(rb).value, truth);
   EXPECT_GT(eng.stats().tt.hits, hits_before)
       << "the second, content-identical tree should reuse stored values";
+}
+
+TEST(EngineTT, OnlyTableReadersAreArmedAndAgeTheGeneration) {
+  // The engine arms its table into, and advances the generation for, only
+  // the algorithms that read it: NOR and flat-kernel traffic must not age
+  // alpha-beta entries it never touches.
+  const Tree nor = make_uniform_iid_nor(2, 6, golden_bias(), 3);
+  const Tree mm = make_uniform_iid_minimax(2, 6, -10, 10, 3);
+  Engine::Options opt;
+  opt.workers = 2;
+  opt.tt_entries = 1 << 10;
+  Engine eng(opt);
+  const std::uint8_t g0 = eng.shared_tt()->generation();
+  for (const Algorithm a : {Algorithm::kFlatSolveBatch,
+                            Algorithm::kMtParallelSolve,
+                            Algorithm::kFlatAbBatch}) {
+    SearchRequest req;
+    req.tree = is_minimax_algorithm(a) ? &mm : &nor;
+    req.algorithm = a;
+    eng.run(req);
+  }
+  EXPECT_EQ(eng.shared_tt()->generation(), g0);
+  EXPECT_EQ(eng.stats().tt.probes, 0u);
+
+  SearchRequest ab;
+  ab.tree = &mm;
+  ab.algorithm = Algorithm::kMtParallelAb;
+  EXPECT_EQ(eng.run(ab).value, minimax_value(mm));
+  EXPECT_EQ(eng.shared_tt()->generation(), static_cast<std::uint8_t>(g0 + 1));
+  EXPECT_GT(eng.stats().tt.probes, 0u);
 }
 
 TEST(EngineTT, PerRequestTableOverridesEngineTable) {

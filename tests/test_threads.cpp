@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -352,13 +353,21 @@ TEST(Resilience, PoolSurvivesThrowingScoutAndStaysUsable) {
 TEST(Resilience, RawPoolSurvivesThrowingTask) {
   // Containment at the scheduler layer itself: a raw task that throws is
   // swallowed (and counted), and later tasks still run on every pool kind.
+  // Unwinding is slow next to 100 trivial tasks on the other worker, so
+  // the count is awaited (bounded) rather than read the moment they end.
+  const auto await_count = [](const auto& read) {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (read() < 1u && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    return read();
+  };
   {
     WorkStealingPool pool(2);
     pool.submit([] { throw std::runtime_error("boom"); });
     std::atomic<int> count{0};
     for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
     while (count.load() < 100) std::this_thread::yield();
-    EXPECT_GE(pool.stats().task_exceptions, 1u);
+    EXPECT_GE(await_count([&] { return pool.stats().task_exceptions; }), 1u);
   }
   {
     ThreadPool pool(2);
@@ -366,7 +375,7 @@ TEST(Resilience, RawPoolSurvivesThrowingTask) {
     std::atomic<int> count{0};
     for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
     while (count.load() < 100) std::this_thread::yield();
-    EXPECT_GE(pool.task_exceptions(), 1u);
+    EXPECT_GE(await_count([&] { return pool.task_exceptions(); }), 1u);
   }
 }
 
