@@ -36,96 +36,95 @@ std::vector<NodeId> Tree::leaves() const {
   return out;
 }
 
+NodeId TreeBuilder::add_node(NodeId parent) {
+  const NodeId id = static_cast<NodeId>(parent_.size());
+  parent_.push_back(parent);
+  value_.push_back(0);
+  child_count_.push_back(0);
+  is_leaf_.push_back(0);
+  return id;
+}
+
 NodeId TreeBuilder::add_root() {
   if (!parent_.empty()) throw std::logic_error("TreeBuilder: root already exists");
-  parent_.push_back(kNoNode);
-  kids_.emplace_back();
-  value_.push_back(0);
-  has_value_.push_back(false);
-  return 0;
+  return add_node(kNoNode);
 }
 
 NodeId TreeBuilder::add_child(NodeId parent) {
   if (parent >= parent_.size()) throw std::logic_error("TreeBuilder: unknown parent");
-  if (has_value_[parent])
+  if (is_leaf_[parent])
     throw std::logic_error("TreeBuilder: cannot add a child to a leaf");
-  const NodeId id = static_cast<NodeId>(parent_.size());
-  parent_.push_back(parent);
-  kids_.emplace_back();
-  value_.push_back(0);
-  has_value_.push_back(false);
-  kids_[parent].push_back(id);
-  return id;
+  ++child_count_[parent];
+  return add_node(parent);
 }
 
 void TreeBuilder::set_leaf_value(NodeId v, Value value) {
   if (v >= parent_.size()) throw std::logic_error("TreeBuilder: unknown node");
-  if (!kids_[v].empty())
+  if (child_count_[v] != 0)
     throw std::logic_error("TreeBuilder: node with children cannot be a leaf");
   value_[v] = value;
-  has_value_[v] = true;
+  is_leaf_[v] = 1;
 }
 
 Tree TreeBuilder::build() {
   const std::size_t m = parent_.size();
   if (m == 0) throw std::logic_error("TreeBuilder: empty tree");
+  // Every internal node starts on the leaf frontier; the sweep below
+  // clears it when an internal child shows.
+  std::vector<std::uint64_t> leaf_frontier((m + 63) / 64, 0);
   for (std::size_t v = 0; v < m; ++v) {
-    if (kids_[v].empty() && !has_value_[v])
+    if (child_count_[v] != 0) {
+      leaf_frontier[v >> 6] |= std::uint64_t{1} << (v & 63);
+    } else if (!is_leaf_[v]) {
       throw std::logic_error("TreeBuilder: childless node without a leaf value");
+    }
   }
 
   Tree t;
   t.parent_ = std::move(parent_);
   t.value_ = std::move(value_);
+  t.child_count_ = std::move(child_count_);
+  t.leaf_frontier_ = std::move(leaf_frontier);
   t.child_begin_.resize(m);
-  t.child_count_.resize(m);
   t.depth_.resize(m);
   t.child_index_.resize(m);
   t.subtree_leaves_.assign(m, 0);
 
-  std::size_t total_children = 0;
-  for (const auto& k : kids_) total_children += k.size();
-  t.children_.reserve(total_children);
+  // Counting layout: a prefix sum of the child counts gives each node's
+  // slice of children_.
+  std::uint32_t total_children = 0;
   for (std::size_t v = 0; v < m; ++v) {
-    t.child_begin_[v] = static_cast<std::uint32_t>(t.children_.size());
-    t.child_count_[v] = static_cast<std::uint32_t>(kids_[v].size());
-    for (std::size_t i = 0; i < kids_[v].size(); ++i) {
-      t.children_.push_back(kids_[v][i]);
-      t.child_index_[kids_[v][i]] = static_cast<std::uint32_t>(i);
-    }
+    t.child_begin_[v] = total_children;
+    total_children += t.child_count_[v];
   }
+  t.children_.resize(total_children);
 
-  // Leaf-frontier bitset + SoA child-value gather. child_count_ is complete
-  // for every node only after the flatten loop above, so this is a second
-  // pass. child_values_ mirrors children_: slot i holds the leaf value of
-  // children_[i] (0 for internal children), giving the batch reductions a
-  // contiguous span per parent even though sibling NodeIds are not adjacent
-  // in value_.
-  t.child_values_.assign(t.children_.size(), 0);
-  t.leaf_frontier_.assign((m + 63) / 64, 0);
-  for (NodeId v = 0; v < m; ++v) {
-    if (t.child_count_[v] == 0) continue;
-    bool all_leaves = true;
-    const std::uint32_t begin = t.child_begin_[v];
-    for (std::uint32_t i = 0; i < t.child_count_[v]; ++i) {
-      const NodeId c = t.children_[begin + i];
-      if (kids_[c].empty()) {
-        t.child_values_[begin + i] = t.value_[c];
-      } else {
-        all_leaves = false;
-      }
-    }
-    if (all_leaves) t.leaf_frontier_[v >> 6] |= (std::uint64_t{1} << (v & 63));
-  }
-
-  // Depths: parents precede children in the arena (add_child appends), so a
-  // single forward pass suffices.
+  // One forward sweep over the ids fills the slices. Siblings get
+  // increasing ids in add_child order, so each lands in its sibling slot,
+  // and a parent's id is smaller than its children's, so its depth is
+  // known. The same sweep gathers the leaf frontier and the SoA child
+  // values: child_values_ mirrors children_ (slot i holds the leaf value
+  // of children_[i], 0 for an internal child), giving the batch reductions
+  // a contiguous span per parent although sibling ids are not adjacent in
+  // value_.
+  t.child_values_.assign(total_children, 0);
+  std::vector<std::uint32_t> placed(m, 0);  // children of each node placed so far
   t.depth_[0] = 0;
   t.child_index_[0] = 0;
   t.height_ = 0;
   for (NodeId v = 1; v < m; ++v) {
-    t.depth_[v] = t.depth_[t.parent_[v]] + 1;
+    const NodeId p = t.parent_[v];
+    const std::uint32_t i = placed[p]++;
+    const std::uint32_t slot = t.child_begin_[p] + i;
+    t.children_[slot] = v;
+    t.child_index_[v] = i;
+    t.depth_[v] = t.depth_[p] + 1;
     t.height_ = std::max(t.height_, t.depth_[v]);
+    if (t.child_count_[v] == 0) {
+      t.child_values_[slot] = t.value_[v];
+    } else {
+      t.leaf_frontier_[p >> 6] &= ~(std::uint64_t{1} << (p & 63));
+    }
   }
 
   // Subtree leaf counts: backward pass (children have larger ids).
@@ -179,8 +178,7 @@ Tree TreeBuilder::build() {
     t.fingerprint_ = h;
   }
 
-  kids_.clear();
-  has_value_.clear();
+  is_leaf_.clear();
   return t;
 }
 

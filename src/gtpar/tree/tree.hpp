@@ -190,6 +190,10 @@ class Tree {
 /// sibling order is the order of add_child calls. build() verifies that
 /// every node is either a leaf with a value or an internal node with >= 1
 /// child.
+///
+/// The builder keeps only flat per-node arrays (parent, value, child count,
+/// leaf flag); build() lays out the children in one counting pass, so
+/// construction makes no per-node heap allocation.
 class TreeBuilder {
  public:
   /// Create the root. Must be called exactly once, first.
@@ -199,7 +203,7 @@ class TreeBuilder {
   NodeId add_child(NodeId parent);
 
   /// Mark v as a leaf carrying `value`. A node with children cannot be
-  /// given a value (asserted in build()).
+  /// given a value.
   void set_leaf_value(NodeId v, Value value);
 
   std::size_t size() const noexcept { return parent_.size(); }
@@ -208,10 +212,12 @@ class TreeBuilder {
   Tree build();
 
  private:
+  NodeId add_node(NodeId parent);
+
   std::vector<NodeId> parent_;
-  std::vector<std::vector<NodeId>> kids_;
   std::vector<Value> value_;
-  std::vector<bool> has_value_;
+  std::vector<std::uint32_t> child_count_;
+  std::vector<std::uint8_t> is_leaf_;  // set by set_leaf_value
 };
 
 /// Node kind under the paper's game-tree convention: the root is a MAX

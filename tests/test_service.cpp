@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -368,14 +369,32 @@ TEST(Service, BadPayloadKeepsConnectionUsable) {
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.error->code, ErrorCode::kBadRequest);
 
-  // Unparseable tree text, same story.
+  // Unparseable tree text, same story. So is text nested past the parse
+  // cap: a 1M-deep frame (2,000,001 bytes) would overflow a recursive
+  // parser's stack on the reader thread, and a 100k-deep chain would
+  // overflow SCOUT's recursion in the search.
+  const auto nest = [](std::size_t depth) {
+    return std::string(depth, '(') + "1" + std::string(depth, ')');
+  };
   WireRequest bad_tree = nor_request(t);
   bad_tree.tree_text = "(| 1 (oops";
-  const auto r2 = client.call(bad_tree);
-  ASSERT_FALSE(r2.ok());
-  EXPECT_EQ(r2.error->code, ErrorCode::kBadRequest);
+  WireRequest too_deep = nor_request(t);
+  too_deep.tree_text = nest(1000000);
+  WireRequest deep_scout = minimax_request(t, Algorithm::kScout);
+  deep_scout.tree_text = nest(100000);
+  const std::pair<const WireRequest*, std::string> cases[] = {
+      {&bad_tree, "unexpected character"},
+      {&too_deep, "nesting too deep"},
+      {&deep_scout, "nesting too deep"}};
+  for (const auto& [req, why] : cases) {
+    const auto r2 = client.call(*req);
+    ASSERT_FALSE(r2.ok());
+    ASSERT_TRUE(r2.error.has_value());
+    EXPECT_EQ(r2.error->code, ErrorCode::kBadRequest);
+    EXPECT_EQ(r2.error->message, "bad tree payload: parse_tree: " + why);
+  }
 
-  // The connection survived both: a good request still works.
+  // The connection survived all of them: a good request still works.
   const auto r3 = client.call(nor_request(t));
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(r3.result->value, nor_value(t) ? 1 : 0);
