@@ -180,8 +180,8 @@ struct Engine::Impl {
         std::memory_order_relaxed);
   }
 
-  /// Body of one admitted job, on a worker (or the caller under
-  /// kCallerRuns).
+  /// Body of one admitted job, on a worker (or on the caller: see
+  /// start()).
   void execute_job(const std::shared_ptr<SearchJob::State>& st) {
     const auto start = Clock::now();
     st->start_ns.store(steady_now_ns(), std::memory_order_relaxed);
@@ -292,6 +292,74 @@ struct Engine::Impl {
       lock.lock();
     }
   }
+
+  /// Admit one job and run it: on a pool worker (submit()), or on the
+  /// calling thread, before this returns, for run_on_caller() and for jobs
+  /// that kCallerRuns sheds. One admission, accounting and watchdog path
+  /// for all three.
+  SearchJob start(SearchRequest req, CompletionFn on_complete, bool on_caller) {
+    auto st = std::make_shared<SearchJob::State>();
+    st->req = std::move(req);
+    st->on_complete = std::move(on_complete);
+    st->req.limits.cancel = &st->cancel;
+    if (tt && st->req.tt == nullptr && reads_shared_tt(st->req.algorithm)) {
+      // Arm the shared table and age the replacement priority of previous
+      // submissions' entries — unless the request pins the generation
+      // (session follow-up moves). Requests that never read the table
+      // neither get it nor age it.
+      st->req.tt = tt.get();
+      if (!st->req.tt_pin_generation) tt->new_generation();
+    }
+    st->submit_time = Clock::now();
+    SearchJob job;
+    job.st_ = st;
+
+    bool caller_runs = on_caller;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      agg.submitted += 1;
+      if (opt.max_in_flight != 0 && in_flight >= opt.max_in_flight) {
+        switch (opt.shed) {
+          case ShedPolicy::kRejectNew:
+            agg.rejected += 1;
+            lock.unlock();
+            publish_rejected(st, "engine overloaded: max_in_flight reached");
+            return job;
+          case ShedPolicy::kCallerRuns:
+            if (!on_caller) agg.shed_caller_runs += 1;
+            caller_runs = true;
+            break;
+          case ShedPolicy::kBlockWithDeadline: {
+            const auto fits = [this] { return in_flight < opt.max_in_flight; };
+            if (opt.admission_timeout_ns == 0) {
+              admit_cv.wait(lock, fits);
+            } else if (!admit_cv.wait_for(
+                           lock, std::chrono::nanoseconds(opt.admission_timeout_ns),
+                           fits)) {
+              agg.rejected += 1;
+              lock.unlock();
+              publish_rejected(st,
+                               "engine overloaded: admission deadline expired");
+              return job;
+            }
+            break;
+          }
+        }
+      }
+      in_flight += 1;
+      if (on_caller) agg.ran_on_caller += 1;
+      active.push_back(st);
+    }
+    if (caller_runs) {
+      // The caller pays for the search itself: its own request below the
+      // grain, or backpressure under overload. Any scouts still go to the
+      // shared scheduler.
+      execute_job(st);
+      return job;
+    }
+    exec->submit([this, st] { execute_job(st); });
+    return job;
+  }
 };
 
 Engine::Engine() : Engine(Options{}) {}
@@ -309,71 +377,13 @@ SearchJob Engine::submit(SearchRequest req) {
 }
 
 SearchJob Engine::submit(SearchRequest req, CompletionFn on_complete) {
-  auto st = std::make_shared<SearchJob::State>();
-  st->req = std::move(req);
-  st->on_complete = std::move(on_complete);
-  st->req.limits.cancel = &st->cancel;
-  if (impl_->tt && st->req.tt == nullptr &&
-      reads_shared_tt(st->req.algorithm)) {
-    // Arm the shared table and age the replacement priority of previous
-    // submissions' entries — unless the request pins the generation
-    // (session follow-up moves). Requests that never read the table
-    // neither get it nor age it.
-    st->req.tt = impl_->tt.get();
-    if (!st->req.tt_pin_generation) impl_->tt->new_generation();
-  }
-  st->submit_time = Clock::now();
-  SearchJob job;
-  job.st_ = st;
+  return impl_->start(std::move(req), std::move(on_complete),
+                      /*on_caller=*/false);
+}
 
-  Impl* impl = impl_.get();
-  bool caller_runs = false;
-  {
-    std::unique_lock<std::mutex> lock(impl->mu);
-    impl->agg.submitted += 1;
-    if (impl->opt.max_in_flight != 0 &&
-        impl->in_flight >= impl->opt.max_in_flight) {
-      switch (impl->opt.shed) {
-        case ShedPolicy::kRejectNew:
-          impl->agg.rejected += 1;
-          lock.unlock();
-          Impl::publish_rejected(st, "engine overloaded: max_in_flight reached");
-          return job;
-        case ShedPolicy::kCallerRuns:
-          caller_runs = true;
-          break;
-        case ShedPolicy::kBlockWithDeadline: {
-          const auto fits = [impl] {
-            return impl->in_flight < impl->opt.max_in_flight;
-          };
-          if (impl->opt.admission_timeout_ns == 0) {
-            impl->admit_cv.wait(lock, fits);
-          } else if (!impl->admit_cv.wait_for(
-                         lock,
-                         std::chrono::nanoseconds(impl->opt.admission_timeout_ns),
-                         fits)) {
-            impl->agg.rejected += 1;
-            lock.unlock();
-            Impl::publish_rejected(
-                st, "engine overloaded: admission deadline expired");
-            return job;
-          }
-          break;
-        }
-      }
-    }
-    impl->in_flight += 1;
-    if (caller_runs) impl->agg.shed_caller_runs += 1;
-    impl->active.push_back(st);
-  }
-  if (caller_runs) {
-    // Backpressure: the producer pays for its own overload; the search
-    // still spawns scouts on the shared scheduler.
-    impl->execute_job(st);
-    return job;
-  }
-  impl->exec->submit([impl, st] { impl->execute_job(st); });
-  return job;
+SearchJob Engine::run_on_caller(SearchRequest req, CompletionFn on_complete) {
+  return impl_->start(std::move(req), std::move(on_complete),
+                      /*on_caller=*/true);
 }
 
 SearchResult Engine::run(const SearchRequest& req) { return submit(req).wait(); }

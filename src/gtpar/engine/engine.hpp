@@ -86,11 +86,12 @@ enum class ShedPolicy : std::uint8_t {
 ///     the *worker* to unwind.)
 ///
 /// The callback runs on whichever thread decided the outcome (a pool
-/// worker, the submitting thread for rejected jobs, or the watchdog). It
-/// must not block for long — it runs inside the engine's completion path —
-/// and must not submit to the same Engine recursively from a rejection
-/// callback while holding locks the submit path needs. Exceptions thrown
-/// by the callback are swallowed (the job outcome is already published).
+/// worker, the submitting thread for rejected jobs and for jobs run on
+/// their caller, or the watchdog). It must not block for long — it runs
+/// inside the engine's completion path — and must not submit to the same
+/// Engine recursively from a rejection callback while holding locks the
+/// submit path needs. Exceptions thrown by the callback are swallowed (the
+/// job outcome is already published).
 using CompletionFn =
     std::function<void(const SearchResult* result, std::exception_ptr error)>;
 
@@ -140,6 +141,9 @@ struct EngineStats {
   std::uint64_t rejected = 0;
   /// Submissions executed inline on the caller under kCallerRuns.
   std::uint64_t shed_caller_runs = 0;
+  /// Admitted jobs of Engine::run_on_caller (never counted in
+  /// shed_caller_runs, and never injected into the scheduler).
+  std::uint64_t ran_on_caller = 0;
   /// Jobs the watchdog failed for exceeding stall_timeout_ns.
   std::uint64_t watchdog_failed = 0;
   /// Leaf-evaluation retries / evaluator faults summed over finished jobs.
@@ -218,6 +222,18 @@ class Engine {
   /// guarantees). This is the push-style seam the networked service uses
   /// to stream results without parking a waiter thread per request.
   SearchJob submit(SearchRequest req, CompletionFn on_complete);
+
+  /// As submit(req, on_complete), but an admitted job runs on the calling
+  /// thread instead of a pool worker: the search and then the callback
+  /// both run before this returns (a watchdog failure runs the callback on
+  /// the watchdog thread instead, and this returns once the search has
+  /// unwound). Admission, EngineStats accounting, the watchdog, drain()
+  /// and the CompletionFn contract are submit()'s. For requests whose
+  /// sequential work is below the grain (engine/granularity.hpp), where a
+  /// pool hand-off costs more than the search; the caller is blocked for
+  /// the whole search, so it must not be a thread that other work waits
+  /// on for long.
+  SearchJob run_on_caller(SearchRequest req, CompletionFn on_complete);
 
   /// Convenience: submit + wait.
   SearchResult run(const SearchRequest& req);

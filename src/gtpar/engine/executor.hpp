@@ -37,6 +37,16 @@ class Executor {
   virtual unsigned workers() const noexcept = 0;
 };
 
+/// Runs every task on the submitting thread, before submit() returns. For
+/// searches that spawn no scouts (the sequential Mt baselines, and
+/// Mt requests whose whole tree is below the spawn cutoff), so they stay
+/// strictly single-threaded without a scheduler.
+class InlineExecutor final : public Executor {
+ public:
+  void submit(std::function<void()> task) override { task(); }
+  unsigned workers() const noexcept override { return 0; }
+};
+
 /// Cooperative limits on one search request.
 struct SearchLimits {
   /// Wall-clock budget in nanoseconds from the start of the search;

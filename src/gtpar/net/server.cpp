@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "gtpar/check/faults.hpp"
+#include "gtpar/engine/granularity.hpp"
 #include "gtpar/net/socket.hpp"
 #include "gtpar/tree/serialization.hpp"
 
@@ -61,9 +62,9 @@ std::uint64_t now_ns() {
 
 }  // namespace
 
-/// One frame awaiting its connection's writer thread. Droppable frames
-/// (streamed kPartial snapshots) may be shed under outbound-queue
-/// pressure; finals never are.
+/// One frame (or the unsent rest of one) awaiting its connection's writer
+/// thread. Droppable frames (streamed kPartial snapshots) may be shed
+/// under outbound-queue pressure; finals never are.
 struct OutFrame {
   std::vector<std::uint8_t> bytes;
   bool droppable = false;
@@ -78,14 +79,19 @@ struct ConnState {
 
   Socket sock;
 
-  /// Outbound queue, consumed by this connection's writer thread.
-  /// Engine workers and the reader enqueue under out_mu and never touch
-  /// the socket's send side themselves, so a stalled peer can only park
-  /// the writer — which the send deadline then bounds.
+  /// Outbound queue, consumed by this connection's writer thread. A
+  /// thread that produces a frame while the queue is empty and no write is
+  /// in progress sends it itself with one non-blocking write_some; only
+  /// what the socket does not take, and frames that find a backlog, are
+  /// queued. The writer's blocking sends are the only ones, so a stalled
+  /// peer can only park the writer — which the send deadline then bounds.
   std::mutex out_mu;
   std::condition_variable out_cv;
   std::deque<OutFrame> outq;
   std::size_t outq_bytes = 0;
+  /// A thread (a direct sender or the writer) is sending on the socket:
+  /// frames produced meanwhile queue behind it, which keeps frame order.
+  bool writing = false;
   /// Latched on the first failed/timed-out send: later frames for this
   /// connection are dropped quietly.
   bool write_dead = false;
@@ -202,19 +208,22 @@ struct ServiceServer::Impl {
 
   // --- Writing. -------------------------------------------------------------
 
-  /// Enqueue one frame for the connection's writer. Over
-  /// max_outbound_bytes the oldest droppable frames are shed first; a
-  /// droppable frame that still does not fit is itself dropped. Finals
-  /// always enqueue (their count is bounded by max_in_flight_per_conn).
-  /// Returns true iff the frame was queued. `sent_counter` (if any) is
-  /// bumped under out_mu before the writer can dequeue the frame, so a
-  /// client that has observed the frame on the wire is guaranteed to see
-  /// the counter in a subsequent stats snapshot.
-  bool send_bytes(const std::shared_ptr<ConnState>& conn,
+  /// Send one frame from the calling thread (reader, engine worker,
+  /// watchdog or drain()). With nothing queued and no write in progress it
+  /// makes one non-blocking send itself; the rest of the frame, or the
+  /// whole frame when others are ahead of it, goes to the connection's
+  /// writer thread. Over max_outbound_bytes the oldest queued droppable
+  /// frames are shed first; a droppable frame that still does not fit is
+  /// itself dropped. Finals always go out (their count is bounded by
+  /// max_in_flight_per_conn). `sent_counter` (if any) is bumped under
+  /// out_mu before any of the frame's bytes can reach the wire, so a client
+  /// that has observed the frame is guaranteed to see the counter in a
+  /// subsequent stats snapshot.
+  void send_bytes(const std::shared_ptr<ConnState>& conn,
                   std::vector<std::uint8_t> bytes, bool droppable = false,
                   std::atomic<std::uint64_t>* sent_counter = nullptr) {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    if (conn->write_dead || conn->out_closing) return false;
+    std::unique_lock<std::mutex> lock(conn->out_mu);
+    if (conn->write_dead || conn->out_closing) return;
     if (conn->outq_bytes + bytes.size() > opt.max_outbound_bytes) {
       for (auto it = conn->outq.begin();
            it != conn->outq.end() &&
@@ -230,15 +239,42 @@ struct ServiceServer::Impl {
       if (droppable &&
           conn->outq_bytes + bytes.size() > opt.max_outbound_bytes) {
         partials_dropped.fetch_add(1, std::memory_order_relaxed);
-        return false;
+        return;
       }
     }
-    conn->outq_bytes += bytes.size();
-    conn->outq.push_back({std::move(bytes), droppable});
     if (sent_counter != nullptr)
       sent_counter->fetch_add(1, std::memory_order_relaxed);
-    conn->out_cv.notify_one();
-    return true;
+    if (conn->writing || !conn->outq.empty()) {
+      conn->outq_bytes += bytes.size();
+      conn->outq.push_back({std::move(bytes), droppable});
+      // A thread that is writing looks at the queue when it finishes.
+      if (!conn->writing) conn->out_cv.notify_one();
+      return;
+    }
+    conn->writing = true;
+    lock.unlock();
+    std::size_t sent = 0;
+    bool failed = false;
+    try {
+      sent = conn->sock.write_some(bytes.data(), bytes.size());
+    } catch (const SocketError&) {
+      failed = true;
+    }
+    lock.lock();
+    conn->writing = false;
+    if (!failed && sent < bytes.size()) {
+      // Part of this frame is on the wire: the rest goes first, and is
+      // never shed.
+      bytes.erase(bytes.begin(),
+                  bytes.begin() + static_cast<std::ptrdiff_t>(sent));
+      conn->outq_bytes += bytes.size();
+      conn->outq.push_front({std::move(bytes), /*droppable=*/false});
+    }
+    // The writer waits while a write is in progress, so it must hear that
+    // this one ended, on success and on failure alike.
+    if (!conn->outq.empty() || conn->out_closing) conn->out_cv.notify_one();
+    lock.unlock();
+    if (failed) kill_writes(conn);
   }
 
   void send_error(const std::shared_ptr<ConnState>& conn,
@@ -267,7 +303,8 @@ struct ServiceServer::Impl {
       {
         std::unique_lock<std::mutex> lock(conn->out_mu);
         conn->out_cv.wait(lock, [&] {
-          return !conn->outq.empty() || conn->out_closing;
+          return !conn->writing &&
+                 (!conn->outq.empty() || conn->out_closing);
         });
         if (conn->outq.empty()) {
           shutdown_on_exit = conn->close_after_flush;
@@ -276,6 +313,7 @@ struct ServiceServer::Impl {
         f = std::move(conn->outq.front());
         conn->outq.pop_front();
         conn->outq_bytes -= f.bytes.size();
+        conn->writing = true;
       }
       try {
         conn->sock.write_all(f.bytes.data(), f.bytes.size());
@@ -289,6 +327,8 @@ struct ServiceServer::Impl {
       } catch (const SocketError&) {
         kill_writes(conn);
       }
+      std::lock_guard<std::mutex> lock(conn->out_mu);
+      conn->writing = false;
     }
     if (shutdown_on_exit) conn->sock.shutdown_both();
     conn->writer_done.store(true, std::memory_order_release);
@@ -503,6 +543,19 @@ struct ServiceServer::Impl {
     return true;
   }
 
+  /// The grain rule the cascades apply to scouts (engine/granularity.hpp),
+  /// applied to a whole request: one whose estimated sequential work is
+  /// below the grain costs less to search than to hand to a pool worker,
+  /// so it runs on the thread that submits it. A fault plan's injected
+  /// sleeps and retry backoffs are invisible to the estimate, so such
+  /// requests always go to the pool.
+  static bool below_grain(const ReqCtx& ctx) {
+    return !ctx.fault_state &&
+           ctx.tree.num_leaves() < min_spawn_leaves(default_grain_policy(),
+                                                    ctx.wire.grain,
+                                                    ctx.wire.leaf_cost_ns);
+  }
+
   SearchRequest build_request(const std::shared_ptr<ReqCtx>& ctx) {
     const WireRequest& w = ctx->wire;
     SearchRequest req;
@@ -536,17 +589,23 @@ struct ServiceServer::Impl {
     return req;
   }
 
+  /// Run one search stage: on this thread when the request is below the
+  /// grain (the reader for a first stage; a stream's later stages follow
+  /// on the thread that finished the one before), else on the pool.
   void submit_stage(std::shared_ptr<ReqCtx> ctx) {
     SearchRequest req = build_request(ctx);
-    SearchJob job = engine->submit(
-        std::move(req),
-        [ctx](const SearchResult* res, std::exception_ptr err) mutable {
-          ctx->impl->on_stage_complete(ctx, res, err);
-        });
+    CompletionFn on_done = [ctx](const SearchResult* res,
+                                 std::exception_ptr err) mutable {
+      ctx->impl->on_stage_complete(ctx, res, err);
+    };
+    SearchJob job =
+        below_grain(*ctx)
+            ? engine->run_on_caller(std::move(req), std::move(on_done))
+            : engine->submit(std::move(req), std::move(on_done));
     // Register for kCancel / the in-flight cap. The callback may already
-    // have run (rejected submissions complete synchronously): finished
-    // is latched under target_mu, so a completed request never leaves a
-    // stale jobs entry behind.
+    // have run (rejected submissions and jobs run on this thread complete
+    // synchronously): finished is latched under target_mu, so a completed
+    // request never leaves a stale jobs entry behind.
     std::lock_guard<std::mutex> lock(ctx->target_mu);
     if (ctx->finished) return;
     ctx->cur_job = job;
@@ -637,8 +696,8 @@ struct ServiceServer::Impl {
       target = ctx->conn;
       tid = ctx->request_id;
     }
-    // Enqueue the final before unregistering: maybe_close_out may close
-    // the queue the moment this request stops counting as in-flight.
+    // Send the final before unregistering: maybe_close_out may close the
+    // queue the moment this request stops counting as in-flight.
     if (res) {
       send_bytes(target, encode_result_frame(FrameType::kResult, tid, *res),
                  /*droppable=*/false, &results_sent);
@@ -879,8 +938,9 @@ void ServiceServer::drain() {
   //    returns — CompletionFn guarantee 3).
   if (impl->opt.cancel_on_drain) impl->engine->cancel_all();
   impl->engine->drain();
-  // 4. Flush and stop every writer (finals above are queued by now; a
-  //    stalled peer is bounded by the write deadline), then close.
+  // 4. Flush and stop every writer (finals above are written or queued
+  //    by now; a stalled peer is bounded by the write deadline), then
+  //    close.
   {
     std::lock_guard<std::mutex> clock(impl->conns_mu);
     for (auto& e : impl->conns) {

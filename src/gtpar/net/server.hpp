@@ -4,13 +4,21 @@
 // kept as a library so the end-to-end suites (tests/test_service.cpp) can
 // run a real server in-process on a loopback socket.
 //
-// Architecture: one accept loop feeding per-connection reader threads;
-// every REQUEST frame becomes an Engine::submit with a completion
-// callback, so no thread ever parks waiting on a search — responses are
-// pushed from the engine's completion path straight onto the connection
-// (serialised by a per-connection write lock). Overload, stall, drain,
-// and malformed input all surface as structured kError frames
-// (wire.hpp), never as dropped connections or hangs.
+// Architecture: one accept loop feeding per-connection reader threads.
+// Where a request runs: the reader parses it, and a request whose
+// estimated sequential work is below the grain (the cascades' scout rule,
+// engine/granularity.hpp; never one carrying a fault plan) is searched
+// right there through Engine::run_on_caller — a pool hand-off would cost
+// more than the search. Every other request becomes an Engine::submit
+// with a completion callback, so no thread ever parks waiting on a
+// search. Who writes a frame: the thread that produces it (the reader,
+// an engine worker, the watchdog or drain()) sends it with one
+// non-blocking write when the connection has nothing queued and no write
+// in progress; what the socket does not take, and every frame that finds
+// a backlog, goes to the connection's writer thread, which keeps frame
+// order. Overload, stall, drain, and malformed input all surface as
+// structured kError frames (wire.hpp), never as dropped connections or
+// hangs.
 //
 // Streaming: a REQUEST with stream = true and a deadline splits its
 // wall-clock budget across Options::stream_stages independent search
@@ -27,9 +35,10 @@
 // close connections. drain() returning guarantees every accepted
 // request has had its final frame written or its connection found dead.
 //
-// Slow-peer-proofing (PR 7): every connection owns a writer thread
-// consuming a bounded outbound queue. A peer that stops reading cannot
-// park an engine worker — completion callbacks enqueue and move on; when
+// Slow-peer-proofing: every connection owns a writer thread consuming a
+// bounded outbound queue, and its sends are the only blocking ones. A
+// peer that stops reading cannot park an engine worker or the reader —
+// their direct sends never wait, and what is left enqueues; when
 // the queue exceeds max_outbound_bytes, stale kPartial frames are
 // dropped oldest-first (finals never are), and a send that makes no
 // progress for write_deadline_ns trips SO_SNDTIMEO and disconnects the

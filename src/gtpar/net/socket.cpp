@@ -169,6 +169,19 @@ void Socket::write_all(const void* buf, std::size_t len) {
   }
 }
 
+std::size_t Socket::write_some(const void* buf, std::size_t len) {
+  std::size_t want = len;
+  if (fault_ != nullptr)
+    want = apply_fault_pre(*this, fault_->on_io(/*is_read=*/false, want), want);
+  for (;;) {
+    const ssize_t n = ::send(fd_, buf, want, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    throw_errno("send");
+  }
+}
+
 void Socket::set_recv_timeout_ns(std::uint64_t ns) noexcept {
   if (fd_ < 0) return;
   const timeval tv = ns_to_timeval(ns);

@@ -2,9 +2,12 @@
 //
 // Minimal RAII socket layer for the gtpard service: blocking stream
 // sockets over TCP (loopback or remote) and Unix-domain paths, with
-// EINTR-safe exact reads and full writes. No framing here — that lives in
-// wire.hpp; no event loop — the server runs one accept loop plus one
-// reader and one writer per connection (net/server.cpp).
+// EINTR-safe exact reads, full writes and one-shot non-blocking writes. No
+// framing here — that lives in wire.hpp; no event loop — the server runs
+// one accept loop plus one reader and one writer thread per connection.
+// The reader runs sub-grain requests itself, and whichever thread produces
+// a frame first tries one non-blocking write_some; the writer thread sends
+// only what a full socket buffer left behind (net/server.cpp).
 //
 // Errors are reported as SocketError (a std::runtime_error carrying
 // errno's message). A clean peer close is not an error: read_exact
@@ -58,10 +61,10 @@ struct SocketFaultAction {
 };
 
 /// Test-only injection seam consulted by Socket::read_exact /
-/// Socket::write_all (once per syscall attempt) and Listener::accept
-/// (once per accepted connection). Implementations must be thread-safe if
-/// the socket is used from several threads. See check/net_faults.hpp for
-/// the seeded deterministic implementation.
+/// Socket::write_all / Socket::write_some (once per syscall attempt) and
+/// Listener::accept (once per accepted connection). Implementations must
+/// be thread-safe if the socket is used from several threads. See
+/// check/net_faults.hpp for the seeded deterministic implementation.
 class SocketFaultHook {
  public:
   virtual ~SocketFaultHook() = default;
@@ -99,6 +102,12 @@ class Socket {
   /// Write all `len` bytes (retrying partial writes / EINTR). Throws
   /// SocketTimeout when a send deadline expires with no progress.
   void write_all(const void* buf, std::size_t len);
+
+  /// One non-blocking send: write what the socket's buffer takes right
+  /// now and return that byte count (0 when it is full). Never waits, so
+  /// the send deadline does not apply. Throws SocketError on I/O failure.
+  /// The fault hook shapes the attempt as it does one write_all syscall.
+  std::size_t write_some(const void* buf, std::size_t len);
 
   /// Arm per-operation deadlines (0 clears). Best-effort: an invalid fd
   /// is ignored.

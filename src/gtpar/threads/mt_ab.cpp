@@ -15,17 +15,6 @@
 namespace gtpar {
 namespace {
 
-void pay_leaf_cost(std::uint64_t ns, LeafCostModel model) {
-  if (ns == 0) return;
-  if (model == LeafCostModel::kSleep) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-    return;
-  }
-  const auto end = std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < end) {
-  }
-}
-
 struct AbShared {
   const Tree& t;
   const MtAbOptions& opt;
@@ -387,12 +376,8 @@ MtAbResult mt_parallel_ab(const Tree& t, const MtAbOptions& opt, Executor& exec,
 
 MtAbResult mt_sequential_ab(const Tree& t, const MtAbOptions& opt,
                             const SearchLimits& limits) {
-  class NullExecutor final : public Executor {
-   public:
-    void submit(std::function<void()> task) override { task(); }
-    unsigned workers() const noexcept override { return 0; }
-  } null_exec;
-  AbShared sh(t, opt, null_exec, limits);
+  InlineExecutor inline_exec;
+  AbShared sh(t, opt, inline_exec, limits);
   std::atomic<bool> never{false};
   const auto start = std::chrono::steady_clock::now();
   bool exact = false;

@@ -11,9 +11,7 @@
 #include "gtpar/solve/flat_kernels.hpp"
 
 namespace gtpar {
-namespace {
 
-/// Pay the simulated unit leaf cost under the configured model.
 void pay_leaf_cost(std::uint64_t ns, LeafCostModel model) {
   if (ns == 0) return;
   if (model == LeafCostModel::kSleep) {
@@ -24,6 +22,8 @@ void pay_leaf_cost(std::uint64_t ns, LeafCostModel model) {
   while (std::chrono::steady_clock::now() < end) {
   }
 }
+
+namespace {
 
 constexpr std::int8_t kUnknown = -1;
 
@@ -320,13 +320,9 @@ MtSolveResult mt_parallel_solve(const Tree& t, const MtSolveOptions& opt,
 MtSolveResult mt_sequential_solve(const Tree& t, const MtSolveOptions& opt,
                                   const SearchLimits& limits) {
   // The sequential baseline spawns no scouts, so any executor satisfies
-  // it; use a null one to keep the run strictly single-threaded.
-  class NullExecutor final : public Executor {
-   public:
-    void submit(std::function<void()> task) override { task(); }
-    unsigned workers() const noexcept override { return 0; }
-  } null_exec;
-  Shared sh(t, opt, null_exec, limits);
+  // it; use an inline one to keep the run strictly single-threaded.
+  InlineExecutor inline_exec;
+  Shared sh(t, opt, inline_exec, limits);
   std::atomic<bool> never{false};
   const auto start = std::chrono::steady_clock::now();
   const bool value = sh.ssolve(t.root(), never);

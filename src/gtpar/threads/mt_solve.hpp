@@ -51,6 +51,10 @@ enum class LeafCostModel : std::uint8_t {
            ///< concurrency overlaps the waits even on a single core
 };
 
+/// Pay one simulated leaf evaluation of `ns` nanoseconds under `model`
+/// (the Mt cascades' per-leaf cost; 0 returns at once).
+void pay_leaf_cost(std::uint64_t ns, LeafCostModel model);
+
 struct MtSolveOptions {
   /// Worker threads for scouts (the spine runs on the calling thread).
   /// The width-1 cascade uses at most height(T) concurrent scouts.

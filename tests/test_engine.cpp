@@ -738,5 +738,185 @@ TEST(EngineCallbacks, OrderingSurvivesConcurrencyStress) {
   EXPECT_EQ(wrong.load(), 0);
 }
 
+// --- Jobs run on their caller (Engine::run_on_caller). ---------------------
+
+TEST(EngineOnCaller, RunsSearchAndCallbackBeforeReturning) {
+  const Tree t = make_uniform_iid_nor(2, 6, 0.618, 41);
+  Engine eng;
+  SearchRequest req;
+  req.tree = &t;
+  req.algorithm = Algorithm::kMtParallelSolve;
+
+  // Plain locals: the callback runs on this thread, before run_on_caller
+  // returns, so no synchronisation is needed to read them afterwards.
+  std::thread::id ran_on;
+  int calls = 0;
+  Value seen = -1;
+  SearchJob job = eng.run_on_caller(
+      req, [&](const SearchResult* r, std::exception_ptr err) {
+        ran_on = std::this_thread::get_id();
+        calls += 1;
+        ASSERT_NE(r, nullptr);
+        ASSERT_EQ(err, nullptr);
+        seen = r->value;
+      });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_TRUE(job.done());
+  EXPECT_EQ(job.wait().value, nor_value(t) ? 1 : 0);
+  EXPECT_EQ(seen, job.wait().value);
+
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.submitted, 1u);
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.ran_on_caller, 1u);
+  EXPECT_EQ(s.shed_caller_runs, 0u);
+  EXPECT_EQ(s.scheduler.injected, 0u);
+}
+
+TEST(EngineOnCaller, RejectedAboveMaxInFlightLikeSubmit) {
+  const Tree slow_tree = make_worst_case_nor(2, 8, false);
+  const Tree t = make_uniform_iid_nor(2, 6, 0.618, 42);
+  Engine::Options opt;
+  opt.workers = 1;
+  opt.max_in_flight = 1;
+  opt.shed = ShedPolicy::kRejectNew;
+  Engine eng(opt);
+
+  // Holds the only slot for far longer than the test needs it.
+  SearchRequest slow;
+  slow.tree = &slow_tree;
+  slow.algorithm = Algorithm::kMtSequentialSolve;
+  slow.leaf_cost_ns = 1'000'000;
+  slow.cost_model = LeafCostModel::kSleep;
+  SearchJob first = eng.submit(slow);
+
+  SearchRequest req;
+  req.tree = &t;
+  req.algorithm = Algorithm::kFlatSolveBatch;
+  bool rejected = false;
+  SearchJob job =
+      eng.run_on_caller(req, [&](const SearchResult* r, std::exception_ptr err) {
+        if (r != nullptr || err == nullptr) return;
+        try {
+          std::rethrow_exception(err);
+        } catch (const EngineOverloadedError&) {
+          rejected = true;
+        } catch (...) {
+        }
+      });
+  EXPECT_TRUE(rejected);
+  EXPECT_TRUE(job.done());
+  EXPECT_THROW(job.wait(), EngineOverloadedError);
+
+  first.cancel();
+  first.wait();
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.submitted, 2u);
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.ran_on_caller, 0u);
+}
+
+// Under kCallerRuns an overloaded run_on_caller job runs on its caller as
+// it would anyway; it is not counted as a shed.
+TEST(EngineOnCaller, NotCountedAsShedUnderCallerRuns) {
+  const Tree slow_tree = make_worst_case_nor(2, 8, false);
+  const Tree t = make_uniform_iid_nor(2, 6, 0.618, 43);
+  Engine::Options opt;
+  opt.workers = 1;
+  opt.max_in_flight = 1;
+  opt.shed = ShedPolicy::kCallerRuns;
+  Engine eng(opt);
+
+  SearchRequest slow;
+  slow.tree = &slow_tree;
+  slow.algorithm = Algorithm::kMtSequentialSolve;
+  slow.leaf_cost_ns = 1'000'000;
+  slow.cost_model = LeafCostModel::kSleep;
+  SearchJob first = eng.submit(slow);
+
+  SearchRequest req;
+  req.tree = &t;
+  req.algorithm = Algorithm::kFlatSolveBatch;
+  SearchJob job = eng.run_on_caller(req, {});
+  EXPECT_TRUE(job.done());
+  EXPECT_EQ(job.wait().value, nor_value(t) ? 1 : 0);
+
+  first.cancel();
+  first.wait();
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.ran_on_caller, 1u);
+  EXPECT_EQ(s.shed_caller_runs, 0u);
+  EXPECT_EQ(s.rejected, 0u);
+}
+
+// drain() waits for a job running on another thread's caller, callback
+// included, exactly as it waits for pool jobs (CompletionFn guarantee 3).
+TEST(EngineOnCaller, DrainCoversJobsRunOnCallers) {
+  const Tree t = make_worst_case_nor(2, 5, false);  // every leaf is visited
+  Engine eng;
+  SearchRequest req;
+  req.tree = &t;
+  req.algorithm = Algorithm::kMtSequentialSolve;
+  req.leaf_cost_ns = 2'000'000;  // 32 leaves x 2 ms
+  req.cost_model = LeafCostModel::kSleep;
+
+  std::atomic<bool> returned{false};
+  std::thread caller([&] {
+    eng.run_on_caller(req, [&](const SearchResult* r, std::exception_ptr) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      returned.store(r != nullptr);
+    });
+  });
+  while (eng.stats().ran_on_caller == 0) std::this_thread::yield();
+  eng.drain();
+  EXPECT_TRUE(returned.load());
+  caller.join();
+}
+
+// Jobs on their callers and jobs on the pool at once, sharing the engine's
+// table and its accounting. Run in the CI tsan lane.
+TEST(EngineOnCaller, RunsBesidePoolJobs) {
+  const Tree nor = make_uniform_iid_nor(2, 6, 0.618, 44);
+  const Tree mm = make_uniform_iid_minimax(3, 4, -50, 50, 45);
+  const Value nor_truth = nor_value(nor) ? 1 : 0;
+  const Value mm_truth = minimax_value(mm);
+  Engine::Options opt;
+  opt.workers = 2;
+  Engine eng(opt);
+
+  constexpr int kThreads = 4;
+  constexpr int kJobsEach = 25;
+  std::atomic<int> callbacks{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> submitters;
+  for (int th = 0; th < kThreads; ++th) {
+    submitters.emplace_back([&, th] {
+      for (int i = 0; i < kJobsEach; ++i) {
+        const bool use_nor = i % 2 == 0;
+        SearchRequest req;
+        req.tree = use_nor ? &nor : &mm;
+        req.algorithm = use_nor ? Algorithm::kMtParallelSolve
+                                : Algorithm::kMtParallelAb;
+        const Value truth = use_nor ? nor_truth : mm_truth;
+        CompletionFn cb = [&, truth](const SearchResult* r, std::exception_ptr) {
+          callbacks.fetch_add(1);
+          if (r == nullptr || r->value != truth) wrong.fetch_add(1);
+        };
+        SearchJob job = th % 2 == 0 ? eng.run_on_caller(req, std::move(cb))
+                                    : eng.submit(req, std::move(cb));
+        if (job.wait().value != truth) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : submitters) th.join();
+  eng.drain();
+  EXPECT_EQ(callbacks.load(), kThreads * kJobsEach);
+  EXPECT_EQ(wrong.load(), 0);
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.completed, std::uint64_t(kThreads * kJobsEach));
+  EXPECT_EQ(s.ran_on_caller, std::uint64_t(kThreads / 2 * kJobsEach));
+}
+
 }  // namespace
 }  // namespace gtpar

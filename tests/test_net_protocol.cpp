@@ -4,6 +4,7 @@
 // malformed bytes always surface as WireFormatError — never a crash,
 // over-read, or hang — which the CI sanitizer lanes (ASan/UBSan) enforce
 // for real.
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <thread>
@@ -560,6 +561,46 @@ TEST(FaultyTransport, ResetSurfacesAsSocketErrorExactlyOnce) {
   // plain transport errors, not further injected resets.
   EXPECT_THROW(writer.sock.write_all(frame.data(), frame.size()), SocketError);
   EXPECT_EQ(writer.state.resets(), 1u);
+}
+
+// write_some is one non-blocking send: it takes what the socket buffer has
+// room for and returns 0 when the buffer is full, instead of waiting. The
+// fault seam clamps it and resets it as it does one write_all syscall.
+TEST(FaultyTransport, WriteSomeNeverWaitsAndGoesThroughTheFaultSeam) {
+  const std::vector<std::uint8_t> big(4u << 20, 0x5a);  // past any buffer
+  {
+    auto [wend, rend] = Socket::pair();
+    const std::size_t first = wend.write_some(big.data(), big.size());
+    EXPECT_GT(first, 0u);
+    EXPECT_LT(first, big.size());
+    EXPECT_EQ(wend.write_some(big.data(), big.size()), 0u);
+    std::vector<std::uint8_t> got(first);
+    ASSERT_TRUE(rend.read_exact(got.data(), got.size()));
+    EXPECT_TRUE(std::all_of(got.begin(), got.end(),
+                            [](std::uint8_t b) { return b == 0x5a; }));
+  }
+  {
+    auto [wend, rend] = Socket::pair();
+    check::NetFaultPlan wplan;
+    wplan.seed = 17;
+    wplan.partial_rate = 1.0;
+    wplan.max_partial_chunk = 3;
+    check::FaultySocket writer(std::move(wend), wplan);
+    const std::size_t n = writer.sock.write_some(big.data(), big.size());
+    EXPECT_GE(n, 1u);
+    EXPECT_LE(n, 3u);
+    EXPECT_EQ(writer.state.partials(), 1u);
+  }
+  {
+    auto [wend, rend] = Socket::pair();
+    check::NetFaultPlan wplan;
+    wplan.seed = 19;
+    wplan.reset_rate = 1.0;
+    wplan.max_resets = 1;
+    check::FaultySocket writer(std::move(wend), wplan);
+    EXPECT_THROW(writer.sock.write_some(big.data(), big.size()), SocketError);
+    EXPECT_EQ(writer.state.resets(), 1u);
+  }
 }
 
 }  // namespace

@@ -12,12 +12,14 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gtpar/check/oracle.hpp"
+#include "gtpar/engine/granularity.hpp"
 #include "gtpar/net/client.hpp"
 #include "gtpar/net/server.hpp"
 #include "gtpar/tree/generators.hpp"
@@ -217,6 +219,101 @@ TEST(Service, PipelinedRequestsCorrelateByRequestId) {
   }
 }
 
+// --- Where a request runs. --------------------------------------------------
+
+// A request below the grain is searched on its connection's reader thread:
+// the engine admits and counts it, but no task enters the scheduler.
+TEST(Service, SubGrainRequestRunsOnTheReaderThread) {
+  ServiceServer server(tcp_options());
+  server.start();
+  auto client = ServiceClient::connect_tcp("127.0.0.1", server.port());
+
+  const Tree t = make_uniform_iid_nor(2, 6, 0.618, 31);
+  ASSERT_LT(t.num_leaves(), min_spawn_leaves(default_grain_policy(), 0, 0));
+  const EngineStats before = server.engine_stats();
+  const auto r = client.call(nor_request(t, Algorithm::kFlatSolveBatch));
+  ASSERT_TRUE(r.ok()) << (r.error ? r.error->message : "no frame");
+  EXPECT_EQ(r.result->value, nor_value(t) ? 1 : 0);
+
+  const EngineStats after = server.engine_stats();
+  EXPECT_EQ(after.submitted, before.submitted + 1);
+  EXPECT_EQ(after.completed, before.completed + 1);
+  EXPECT_EQ(after.ran_on_caller, before.ran_on_caller + 1);
+  EXPECT_EQ(after.scheduler.injected, before.scheduler.injected);
+}
+
+// Sleep-cost leaves put the same kind of request above the grain: it is
+// still handed to the pool.
+TEST(Service, AboveGrainSleepRequestIsStillInjected) {
+  ServiceServer server(tcp_options());
+  server.start();
+  auto client = ServiceClient::connect_tcp("127.0.0.1", server.port());
+
+  const Tree t = make_uniform_iid_nor(2, 5, 0.618, 37);
+  WireRequest req = nor_request(t, Algorithm::kMtSequentialSolve);
+  req.leaf_cost_ns = 300'000;
+  req.cost_model = 1;  // kSleep
+  ASSERT_GE(t.num_leaves(), min_spawn_leaves(default_grain_policy(), req.grain,
+                                             req.leaf_cost_ns));
+  const EngineStats before = server.engine_stats();
+  const auto r = client.call(req);
+  ASSERT_TRUE(r.ok()) << (r.error ? r.error->message : "no frame");
+  EXPECT_EQ(r.result->value, nor_value(t) ? 1 : 0);
+
+  const EngineStats after = server.engine_stats();
+  EXPECT_EQ(after.submitted, before.submitted + 1);
+  EXPECT_EQ(after.ran_on_caller, before.ran_on_caller);
+  EXPECT_EQ(after.scheduler.injected, before.scheduler.injected + 1);
+}
+
+// A client that pipelines more sub-grain requests than the socket buffers
+// hold before it reads anything: the reader's direct sends fill the
+// socket, the rest backs up in the writer's queue, and later frames race
+// that backlog. Every frame must still arrive whole and decode, and
+// every request must get exactly one correct final.
+TEST(Service, PipelinedFloodPastTheSocketBufferKeepsFramesWhole) {
+  ServiceOptions opt;
+  opt.unix_path = ::testing::TempDir() + "gtpard_flood.sock";
+  opt.engine.workers = 2;
+  opt.write_deadline_ns = 60'000'000'000;  // the client reads only at the end
+  ServiceServer server(opt);
+  server.start();
+  auto client = ServiceClient::connect_unix(server.unix_path());
+
+  std::vector<Tree> trees;
+  for (int i = 0; i < 8; ++i)
+    trees.push_back(make_uniform_iid_minimax(2, 4, -100, 100, 700 + i));
+  // About 60 B per result frame: 6000 of them are well past the default
+  // Unix-socket send and receive buffers.
+  constexpr int kRequests = 6000;
+  std::unordered_map<std::uint64_t, Value> expected;
+  for (int i = 0; i < kRequests; ++i) {
+    const Tree& t = trees[static_cast<std::size_t>(i) % trees.size()];
+    WireRequest req = minimax_request(t, Algorithm::kFlatAbBatch);
+    req.want_pv = true;
+    expected[client.send_request(req)] = minimax_value(t);
+  }
+
+  std::unordered_map<std::uint64_t, int> finals;
+  int wrong = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    auto f = client.read_frame();
+    ASSERT_TRUE(f.has_value()) << "connection closed after " << i << " frames";
+    ASSERT_EQ(f->header.type, FrameType::kResult) << "frame " << i;
+    const auto res = decode_result(f->payload.data(), f->payload.size());
+    const auto it = expected.find(f->header.request_id);
+    ASSERT_NE(it, expected.end()) << "unknown id " << f->header.request_id;
+    if (res.value != it->second) wrong += 1;
+    finals[f->header.request_id] += 1;
+  }
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(finals.size(), expected.size());
+  for (const auto& [id, n] : finals) EXPECT_EQ(n, 1) << "request " << id;
+  EXPECT_EQ(server.stats().results_sent, std::uint64_t(kRequests));
+  EXPECT_EQ(server.stats().slow_peer_disconnects, 0u);
+}
+
+// --- Overload shedding. -----------------------------------------------------
 // --- Overload shedding. -----------------------------------------------------
 
 TEST(Service, OverloadShedsWithStructuredErrors) {

@@ -98,10 +98,12 @@ void print_stats(const gtpar::net::ServiceServer& server) {
       static_cast<unsigned long long>(s.dedupe_hits),
       static_cast<unsigned long long>(s.dedupe_replays));
   std::printf(
-      "engine stats: submitted=%llu completed=%llu incomplete=%llu "
-      "rejected=%llu watchdog=%llu retries=%llu faults=%llu "
-      "avg_dispatch_us=%.1f\n",
+      "engine stats: submitted=%llu ran_on_caller=%llu injected=%llu "
+      "completed=%llu incomplete=%llu rejected=%llu watchdog=%llu "
+      "retries=%llu faults=%llu avg_dispatch_us=%.1f\n",
       static_cast<unsigned long long>(e.submitted),
+      static_cast<unsigned long long>(e.ran_on_caller),
+      static_cast<unsigned long long>(e.scheduler.injected),
       static_cast<unsigned long long>(e.completed),
       static_cast<unsigned long long>(e.incomplete),
       static_cast<unsigned long long>(e.rejected),
