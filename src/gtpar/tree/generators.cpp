@@ -12,6 +12,16 @@
 namespace gtpar {
 namespace {
 
+/// A builder with room for a uniform d-ary tree of height n: the sum of d^i
+/// for i = 0..n nodes. A count past what a NodeId numbers reserves nothing.
+TreeBuilder uniform_builder(unsigned d, unsigned n) {
+  TreeBuilder b;
+  std::uint64_t nodes = 0;
+  for (unsigned i = 0; i <= n && nodes <= kNoNode; ++i) nodes = nodes * d + 1;
+  if (nodes <= kNoNode) b.reserve(nodes);
+  return b;
+}
+
 /// Recursive uniform construction. Leaves are numbered left-to-right.
 void build_uniform(TreeBuilder& b, NodeId v, unsigned d, unsigned depth, unsigned n,
                    std::uint64_t& next_leaf, const LeafFn& leaf_fn) {
@@ -168,7 +178,7 @@ std::uint64_t uniform_leaf_count(unsigned d, unsigned n) {
 
 Tree make_uniform(unsigned d, unsigned n, const LeafFn& leaf_fn) {
   if (d == 0) throw std::invalid_argument("make_uniform: d must be >= 1");
-  TreeBuilder b;
+  TreeBuilder b = uniform_builder(d, n);
   const NodeId r = b.add_root();
   std::uint64_t next_leaf = 0;
   build_uniform(b, r, d, 0, n, next_leaf, leaf_fn);
@@ -204,7 +214,7 @@ Tree make_uniform_from_values(unsigned d, unsigned n, std::span<const Value> val
 double golden_bias() { return (std::sqrt(5.0) - 1.0) / 2.0; }
 
 Tree make_worst_case_nor(unsigned d, unsigned n, bool root_value) {
-  TreeBuilder b;
+  TreeBuilder b = uniform_builder(d, n);
   const NodeId r = b.add_root();
   build_worst_nor(b, r, d, 0, n, root_value);
   return b.build();
@@ -212,7 +222,7 @@ Tree make_worst_case_nor(unsigned d, unsigned n, bool root_value) {
 
 Tree make_best_case_nor(unsigned d, unsigned n, bool root_value, double filler_p_one,
                         std::uint64_t seed) {
-  TreeBuilder b;
+  TreeBuilder b = uniform_builder(d, n);
   const NodeId r = b.add_root();
   std::uint64_t filler_leaf = 0;
   build_best_nor(b, r, d, 0, n, root_value, filler_p_one, seed, filler_leaf, true);
@@ -220,7 +230,7 @@ Tree make_best_case_nor(unsigned d, unsigned n, bool root_value, double filler_p
 }
 
 Tree make_worst_case_minimax(unsigned d, unsigned n) {
-  TreeBuilder b;
+  TreeBuilder b = uniform_builder(d, n);
   const NodeId r = b.add_root();
   // Leave ample room: d^n distinct slices inside a 2^40 range.
   build_ordered_minimax(b, r, d, 0, n, 0, std::int64_t{1} << 30, /*ascending=*/true);
@@ -228,7 +238,7 @@ Tree make_worst_case_minimax(unsigned d, unsigned n) {
 }
 
 Tree make_best_case_minimax(unsigned d, unsigned n) {
-  TreeBuilder b;
+  TreeBuilder b = uniform_builder(d, n);
   const NodeId r = b.add_root();
   build_ordered_minimax(b, r, d, 0, n, 0, std::int64_t{1} << 30, /*ascending=*/false);
   return b.build();
@@ -287,7 +297,7 @@ void build_correlated(TreeBuilder& b, NodeId v, unsigned d, unsigned depth, unsi
 
 Tree make_correlated_minimax(unsigned d, unsigned n, Value step, std::uint64_t seed) {
   if (step < 0) throw std::invalid_argument("make_correlated_minimax: step < 0");
-  TreeBuilder b;
+  TreeBuilder b = uniform_builder(d, n);
   const NodeId r = b.add_root();
   build_correlated(b, r, d, 0, n, 0, step, seed, /*path=*/1);
   return b.build();
@@ -296,6 +306,7 @@ Tree make_correlated_minimax(unsigned d, unsigned n, Value step, std::uint64_t s
 Tree reorder_children(const Tree& t,
                       const std::function<void(NodeId, std::span<NodeId>)>& reorder) {
   TreeBuilder b;
+  b.reserve(t.size());
   const NodeId r = b.add_root();
   copy_reordered(t, t.root(), b, r, reorder);
   return b.build();

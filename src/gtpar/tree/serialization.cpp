@@ -1,7 +1,9 @@
 #include "gtpar/tree/serialization.hpp"
 
+#include <charconv>
 #include <cstdint>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -9,21 +11,6 @@
 
 namespace gtpar {
 namespace {
-
-void write_rec(std::ostream& os, const Tree& t, NodeId v) {
-  if (t.is_leaf(v)) {
-    os << t.leaf_value(v);
-    return;
-  }
-  os << '(';
-  bool first = true;
-  for (NodeId c : t.children(v)) {
-    if (!first) os << ' ';
-    first = false;
-    write_rec(os, t, c);
-  }
-  os << ')';
-}
 
 bool is_space(int c) noexcept {
   return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
@@ -42,6 +29,12 @@ class Scanner {
       : p_(text.data()), end_(text.data() + text.size()) {}
 
   Tree parse() {
+    // Every node starts at a character of its own, and an internal node
+    // also ends at its own ')'. A one-character leaf needs a '(', ')' or
+    // whitespace just before it that no other leaf uses, or is the whole
+    // text; a longer leaf pays for itself. So 4 * nodes <= 3 * length + 1,
+    // and a valid text never makes the builder reallocate.
+    b_.reserve((3 * static_cast<std::size_t>(end_ - p_) + 1) / 4);
     skip_space();
     if (p_ == end_) throw std::invalid_argument("parse_tree: empty input");
     NodeId v = b_.add_root();
@@ -119,15 +112,32 @@ void pretty_rec(std::ostream& os, const Tree& t, NodeId v, const std::string& in
 
 }  // namespace
 
-void write_tree(std::ostream& os, const Tree& t) {
-  if (t.empty()) return;  // empty tree serializes to the empty string
-  write_rec(os, t, t.root());
-}
+void write_tree(std::ostream& os, const Tree& t) { os << to_string(t); }
 
 std::string to_string(const Tree& t) {
-  std::ostringstream os;
-  write_tree(os, t);
-  return os.str();
+  std::string out;
+  if (t.empty()) return out;  // empty tree serializes to the empty string
+  out.reserve(2 * t.size());
+  // Preorder without a stack: go down first children to a leaf, then climb
+  // through last children, closing each, to the next sibling.
+  NodeId v = t.root();
+  while (true) {
+    for (; !t.is_leaf(v); v = t.child(v, 0)) out.push_back('(');
+    char digits[16];
+    out.append(digits, std::to_chars(digits, std::end(digits), t.leaf_value(v)).ptr);
+    while (true) {
+      if (v == t.root()) return out;
+      const NodeId p = t.parent(v);
+      const std::size_t next = t.child_index(v) + 1;
+      if (next < t.num_children(p)) {
+        out.push_back(' ');
+        v = t.child(p, next);
+        break;
+      }
+      out.push_back(')');
+      v = p;
+    }
+  }
 }
 
 Tree parse_tree(std::string_view text) { return Scanner(text).parse(); }

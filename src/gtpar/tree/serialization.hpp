@@ -43,6 +43,7 @@ inline constexpr std::size_t kMaxParseDepth = 1024;
 /// Serialize `t` to the s-expression format (single line, no trailing
 /// newline). A default-constructed empty tree serializes to the empty
 /// string (which parse_tree rejects: there is no s-expression for it).
+/// Iterative, so a tree of any height serializes; only parsing is capped.
 std::string to_string(const Tree& t);
 
 /// Write the s-expression form of `t` to `os` (nothing for an empty tree).

@@ -5,6 +5,20 @@
 #include <utility>
 
 namespace gtpar {
+namespace {
+
+/// One node's fingerprint term. The inner mix is a bijection of (id, leaf
+/// value) and the outer one of (parent, child count) for a given inner
+/// word, so a change to any one of these fields changes the term.
+std::uint64_t node_mix(NodeId v, NodeId parent, std::uint32_t child_count,
+                       Value value) noexcept {
+  const std::uint64_t id_value =
+      (std::uint64_t{v} << 32) | static_cast<std::uint32_t>(value);
+  const std::uint64_t parent_count = (std::uint64_t{parent} << 32) | child_count;
+  return mix64(parent_count ^ mix64(id_value));
+}
+
+}  // namespace
 
 bool Tree::is_uniform(unsigned d, unsigned n) const noexcept {
   if (empty()) return false;
@@ -21,7 +35,7 @@ bool Tree::is_uniform(unsigned d, unsigned n) const noexcept {
 std::vector<NodeId> Tree::leaves() const {
   std::vector<NodeId> out;
   out.reserve(num_leaves_);
-  // Preorder arena: an iterative DFS preserves left-to-right leaf order.
+  // An iterative DFS over the children keeps left-to-right leaf order, whatever the ids.
   std::vector<NodeId> stack{root()};
   while (!stack.empty()) {
     NodeId v = stack.back();
@@ -43,6 +57,13 @@ NodeId TreeBuilder::add_node(NodeId parent) {
   child_count_.push_back(0);
   is_leaf_.push_back(0);
   return id;
+}
+
+void TreeBuilder::reserve(std::size_t n) {
+  parent_.reserve(n);
+  value_.reserve(n);
+  child_count_.reserve(n);
+  is_leaf_.reserve(n);
 }
 
 NodeId TreeBuilder::add_root() {
@@ -106,12 +127,14 @@ Tree TreeBuilder::build() {
   // values: child_values_ mirrors children_ (slot i holds the leaf value
   // of children_[i], 0 for an internal child), giving the batch reductions
   // a contiguous span per parent although sibling ids are not adjacent in
-  // value_.
+  // value_. It also sums the fingerprint's per-node terms, none of which
+  // waits on another's.
   t.child_values_.assign(total_children, 0);
   std::vector<std::uint32_t> placed(m, 0);  // children of each node placed so far
   t.depth_[0] = 0;
   t.child_index_[0] = 0;
   t.height_ = 0;
+  std::uint64_t fingerprint = node_mix(0, kNoNode, t.child_count_[0], t.value_[0]);
   for (NodeId v = 1; v < m; ++v) {
     const NodeId p = t.parent_[v];
     const std::uint32_t i = placed[p]++;
@@ -125,7 +148,9 @@ Tree TreeBuilder::build() {
     } else {
       t.leaf_frontier_[p >> 6] &= ~(std::uint64_t{1} << (p & 63));
     }
+    fingerprint += node_mix(v, p, t.child_count_[v], t.value_[v]);
   }
+  t.fingerprint_ = fingerprint;
 
   // Subtree leaf counts: backward pass (children have larger ids).
   t.num_leaves_ = 0;
@@ -135,47 +160,6 @@ Tree TreeBuilder::build() {
       ++t.num_leaves_;
     }
     if (v != 0) t.subtree_leaves_[t.parent_[v]] += t.subtree_leaves_[v];
-  }
-
-  // Preorder in/out intervals for the O(1) is_ancestor test. Arena ids are
-  // only guaranteed parent-before-child (siblings may interleave with other
-  // subtrees when a builder adds children breadth-first), so an explicit
-  // DFS assigns the ranks. pre_out_[v] is the largest rank in v's subtree:
-  // every node of the subtree lands in [pre_in_[v], pre_out_[v]].
-  t.pre_in_.resize(m);
-  t.pre_out_.resize(m);
-  {
-    std::uint32_t counter = 0;
-    // (node, next child index) frames; depth-bounded.
-    std::vector<std::pair<NodeId, std::uint32_t>> stack;
-    stack.reserve(t.height_ + 1);
-    stack.emplace_back(0, 0);
-    t.pre_in_[0] = counter++;
-    while (!stack.empty()) {
-      auto& [v, next] = stack.back();
-      if (next < t.child_count_[v]) {
-        const NodeId c = t.children_[t.child_begin_[v] + next++];
-        t.pre_in_[c] = counter++;
-        stack.emplace_back(c, 0);
-      } else {
-        t.pre_out_[v] = counter - 1;
-        stack.pop_back();
-      }
-    }
-  }
-
-  // Content fingerprint: shape (child counts in preorder interleaved with
-  // arena parents) and leaf values, folded through the splittable hash.
-  {
-    std::uint64_t h = mix64(0x67747061725f7470ull ^ m);
-    for (NodeId v = 0; v < m; ++v) {
-      h = hash_combine(h, (static_cast<std::uint64_t>(t.child_count_[v]) << 32) |
-                              t.pre_in_[v]);
-      if (t.child_count_[v] == 0)
-        h = hash_combine(h, static_cast<std::uint64_t>(
-                                static_cast<std::uint32_t>(t.value_[v])));
-    }
-    t.fingerprint_ = h;
   }
 
   is_leaf_.clear();

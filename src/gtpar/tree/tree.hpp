@@ -27,7 +27,7 @@ class TreeBuilder;
 ///
 /// Invariants (checked by TreeBuilder::build):
 ///  - node 0 is the root;
-///  - every non-root node has a valid parent with a smaller id (preorder);
+///  - every non-root node has a valid parent with a smaller id (not always preorder);
 ///  - children of a node are stored contiguously and in order;
 ///  - leaves (and only leaves) have zero children.
 class Tree {
@@ -82,28 +82,13 @@ class Tree {
   std::size_t subtree_leaves(NodeId v) const noexcept { return subtree_leaves_[v]; }
 
   /// True iff `a` is an ancestor of `v` (a node is an ancestor of itself,
-  /// matching the paper's convention). O(1): `a`'s subtree is exactly the
-  /// nodes whose preorder rank falls inside [pre_in_[a], pre_out_[a]].
+  /// matching the paper's convention). Walks v's parent chain, O(depth(v)):
+  /// ids fall along the chain down to the root's 0, so the walk stops at
+  /// the first id not above `a`.
   bool is_ancestor(NodeId a, NodeId v) const noexcept {
-    const bool fast = pre_in_[a] <= pre_in_[v] && pre_in_[v] <= pre_out_[a];
-    assert(fast == is_ancestor_walk(a, v));
-    return fast;
+    while (v > a) v = parent_[v];
+    return v == a;
   }
-
-  /// Reference implementation of is_ancestor: walk the parent chain,
-  /// O(depth). Kept as the debug cross-check oracle (asserted against the
-  /// interval test above in !NDEBUG builds, and directly by test_tree).
-  bool is_ancestor_walk(NodeId a, NodeId v) const noexcept {
-    while (v != kNoNode) {
-      if (v == a) return true;
-      v = parent_[v];
-    }
-    return false;
-  }
-
-  /// Preorder rank of v (root is 0; a subtree occupies a contiguous rank
-  /// interval — see is_ancestor).
-  std::uint32_t preorder_rank(NodeId v) const noexcept { return pre_in_[v]; }
 
   /// True iff v is internal and every child of v is a leaf — v sits on the
   /// "leaf frontier". Precomputed at build into a packed bitset; the flat
@@ -114,11 +99,15 @@ class Tree {
     return (leaf_frontier_[v >> 6] >> (v & 63)) & 1u;
   }
 
-  /// Content fingerprint: a 64-bit hash of the tree's shape and leaf
-  /// values, computed once at build time. Two structurally identical trees
-  /// with identical leaf values share a fingerprint, which is what lets a
-  /// shared transposition table (engine/tt.hpp) reuse exact subtree values
-  /// across concurrent searches of the same position.
+  /// Content fingerprint: a 64-bit hash of the arena, computed once at
+  /// build time as the sum over all nodes of one independent mix each of
+  /// (id, parent, child count, leaf value). Equal arenas share a
+  /// fingerprint, which is what lets a shared transposition table
+  /// (engine/tt.hpp) reuse exact subtree values across concurrent searches
+  /// of the same position. Because ids are hashed, it identifies the
+  /// arena's numbering too: the same tree numbered in another order hashes
+  /// differently. Changing one leaf's value always changes it: only that
+  /// node's mix moves, and the mix is a bijection of the value.
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
   /// Raw arena arrays for allocation-free hot loops (solve/flat_kernels.hpp):
@@ -168,8 +157,6 @@ class Tree {
   std::vector<unsigned> depth_;
   std::vector<std::uint32_t> child_index_;
   std::vector<std::uint32_t> subtree_leaves_;
-  std::vector<std::uint32_t> pre_in_;   // preorder entry rank
-  std::vector<std::uint32_t> pre_out_;  // max preorder rank in the subtree
   std::vector<Value> child_values_;     // SoA leaf-value gather, parallel to children_
   std::vector<std::uint64_t> leaf_frontier_;  // packed all-children-are-leaves bits
   unsigned height_ = 0;
@@ -207,6 +194,9 @@ class TreeBuilder {
   void set_leaf_value(NodeId v, Value value);
 
   std::size_t size() const noexcept { return parent_.size(); }
+
+  /// Make room for n nodes, so that adding up to n makes no reallocation.
+  void reserve(std::size_t n);
 
   /// Validate and produce the immutable Tree. The builder is left empty.
   Tree build();

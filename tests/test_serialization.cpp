@@ -170,6 +170,24 @@ TEST(Serialization, NestingDepthIsCapped) {
   EXPECT_THROW(read_tree(deep), std::invalid_argument);
 }
 
+TEST(Serialization, DeepChainSerializes) {
+  // Writing takes no stack per level: a chain far past the parse cap, and
+  // past what a recursive writer survives on an 8 MiB stack, still writes.
+  constexpr std::size_t kDepth = 1000000;
+  TreeBuilder b;
+  NodeId v = b.add_root();
+  for (std::size_t i = 0; i < kDepth; ++i) v = b.add_child(v);
+  b.set_leaf_value(v, 7);
+  const Tree t = b.build();
+  ASSERT_EQ(t.height(), kDepth);
+  const std::string s = to_string(t);
+  ASSERT_EQ(s.size(), 2 * kDepth + 1);
+  EXPECT_TRUE(s == chain(kDepth, "7"));  // no 2 MB diff on failure
+  std::ostringstream os;
+  write_tree(os, t);
+  EXPECT_EQ(os.str(), s);
+}
+
 TEST(Serialization, DeepestParsableChainSearchesOnAThread) {
   // The recursive searchers take one stack frame per level: on the deepest
   // tree the parser admits they must still return on an ordinary thread.

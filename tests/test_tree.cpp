@@ -1,6 +1,8 @@
 // Unit tests for the Tree arena and TreeBuilder invariants.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "gtpar/tree/generators.hpp"
@@ -109,23 +111,6 @@ TEST(Tree, DepthsAndKindsAlternate) {
   }
 }
 
-TEST(Tree, IsAncestorMatchesParentChainWalk) {
-  // The O(1) preorder-interval is_ancestor against the O(depth) reference,
-  // over every node pair of assorted ragged shapes.
-  RandomShapeParams p;
-  p.d_min = 1;
-  p.d_max = 4;
-  p.n_min = 2;
-  p.n_max = 6;
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const Tree t = make_random_shape_nor(p, 0.5, seed);
-    for (NodeId a = 0; a < t.size(); ++a)
-      for (NodeId v = 0; v < t.size(); ++v)
-        ASSERT_EQ(t.is_ancestor(a, v), t.is_ancestor_walk(a, v))
-            << "seed " << seed << " a=" << a << " v=" << v;
-  }
-}
-
 TEST(Tree, IsAncestorBasics) {
   const Tree t = make_uniform_constant(2, 3, 0);
   const NodeId root = t.root();
@@ -142,18 +127,41 @@ TEST(Tree, IsAncestorBasics) {
   EXPECT_FALSE(t.is_ancestor(kids[1], kids[0]));
 }
 
-TEST(Tree, PreorderRankIsAPreorder) {
-  // Parent before child, and left subtree entirely before the right one.
-  const Tree t = make_uniform_constant(3, 3, 0);
-  EXPECT_EQ(t.preorder_rank(t.root()), 0u);
-  std::vector<bool> seen(t.size(), false);
-  for (NodeId v = 0; v < t.size(); ++v) {
-    const std::uint32_t r = t.preorder_rank(v);
-    ASSERT_LT(r, t.size());
-    EXPECT_FALSE(seen[r]) << "preorder ranks must be a permutation";
-    seen[r] = true;
-    if (v != t.root()) {
-      EXPECT_LT(t.preorder_rank(t.parent(v)), r);
+TEST(Tree, IsAncestorOnBreadthFirstAndRaggedArenas) {
+  // Ids need only put each parent before its children. Number B(2,4)
+  // breadth-first, so that subtrees interleave, and add ragged preorder
+  // shapes; check every pair against a walk to the root.
+  std::vector<Tree> trees;
+  {
+    TreeBuilder b;
+    std::vector<NodeId> level{b.add_root()};
+    for (int depth = 0; depth < 4; ++depth) {
+      std::vector<NodeId> next;
+      for (NodeId v : level) {
+        next.push_back(b.add_child(v));
+        next.push_back(b.add_child(v));
+      }
+      level = next;
+    }
+    for (NodeId v : level) b.set_leaf_value(v, 0);
+    trees.push_back(b.build());
+  }
+  RandomShapeParams p;
+  p.d_min = 1;
+  p.d_max = 4;
+  p.n_min = 2;
+  p.n_max = 6;
+  for (std::uint64_t seed = 0; seed < 10; ++seed)
+    trees.push_back(make_random_shape_nor(p, 0.5, seed));
+  for (std::size_t k = 0; k < trees.size(); ++k) {
+    const Tree& t = trees[k];
+    for (NodeId a = 0; a < t.size(); ++a) {
+      for (NodeId v = 0; v < t.size(); ++v) {
+        bool expected = false;
+        for (NodeId u = v; u != kNoNode; u = t.parent(u)) expected |= u == a;
+        ASSERT_EQ(t.is_ancestor(a, v), expected)
+            << "tree " << k << " a=" << a << " v=" << v;
+      }
     }
   }
 }
@@ -168,6 +176,116 @@ TEST(Tree, FingerprintTracksContent) {
   EXPECT_NE(a.fingerprint(), c.fingerprint());
   const Tree d = make_uniform_iid_nor(2, 7, 0.5, 11);
   EXPECT_NE(a.fingerprint(), d.fingerprint());
+  // A one-node tree is only its root, so the root's value counts too.
+  EXPECT_NE(parse_tree("5").fingerprint(), parse_tree("7").fingerprint());
+}
+
+// A tree's arena: each node's parent, leafness and leaf value, by id.
+struct Arena {
+  std::vector<NodeId> parent;
+  std::vector<bool> leaf;
+  std::vector<Value> value;
+};
+
+Arena arena_of(const Tree& t) {
+  Arena a;
+  for (NodeId v = 0; v < t.size(); ++v) {
+    a.parent.push_back(t.parent(v));
+    a.leaf.push_back(t.is_leaf(v));
+    a.value.push_back(t.is_leaf(v) ? t.leaf_value(v) : 0);
+  }
+  return a;
+}
+
+// Builds the arena with the same ids: node v is the v-th node added, so
+// siblings keep their id order.
+Tree build_arena(const Arena& a) {
+  TreeBuilder b;
+  b.add_root();
+  for (NodeId v = 1; v < a.parent.size(); ++v) b.add_child(a.parent[v]);
+  for (NodeId v = 0; v < a.parent.size(); ++v)
+    if (a.leaf[v]) b.set_leaf_value(v, a.value[v]);
+  return b.build();
+}
+
+TEST(Tree, FingerprintIsAContentHashOfTheArena) {
+  RandomShapeParams p;
+  p.d_min = 1;
+  p.d_max = 4;
+  p.n_min = 2;
+  p.n_max = 5;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    for (const bool minimax : {false, true}) {
+      const Tree t = minimax ? make_random_shape_minimax(p, -50, 50, seed)
+                             : make_random_shape_nor(p, 0.5, seed);
+      const std::uint64_t fp = t.fingerprint();
+      const Arena arena = arena_of(t);
+      ASSERT_EQ(build_arena(arena).fingerprint(), fp) << "seed " << seed;
+      ASSERT_EQ(parse_tree(to_string(t)).fingerprint(), fp) << "seed " << seed;
+      for (NodeId v = 0; v < t.size(); ++v) {
+        if (!arena.leaf[v]) continue;
+        const NodeId pv = arena.parent[v];
+        std::vector<std::pair<const char*, Arena>> edits;
+        edits.emplace_back("new value", arena);
+        edits.back().second.value[v] = minimax ? arena.value[v] + 1 : 1 - arena.value[v];
+        // Moved under the nearest other internal node with a smaller id,
+        // when its parent keeps a child.
+        for (NodeId u = v; t.num_children(pv) > 1 && u-- > 0;) {
+          if (!arena.leaf[u] && u != pv) {
+            edits.emplace_back("new parent", arena);
+            edits.back().second.parent[v] = u;
+            break;
+          }
+        }
+        // Two edits that keep every child count and the multiset of leaf
+        // values, with the next leaf: swapping their values (only the ids
+        // tell sibling leaves apart), and swapping their parents.
+        NodeId w = v + 1;
+        while (w < t.size() && !arena.leaf[w]) ++w;
+        if (w < t.size() && arena.value[w] != arena.value[v]) {
+          edits.emplace_back("values swapped", arena);
+          std::swap(edits.back().second.value[v], edits.back().second.value[w]);
+        }
+        if (w < t.size() && arena.parent[w] != pv && arena.parent[w] < v) {
+          edits.emplace_back("parents swapped", arena);
+          std::swap(edits.back().second.parent[v], edits.back().second.parent[w]);
+        }
+        for (const auto& [what, edited] : edits) {
+          const Tree e = build_arena(edited);
+          ASSERT_EQ(e.size(), t.size());
+          EXPECT_NE(e.fingerprint(), fp)
+              << "seed " << seed << " leaf " << v << ": " << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(Tree, BenchmarkShapedTreesHaveDistinctFingerprints) {
+  // One seed's trees, made the way gtbench's batch workload (512 trees,
+  // B(2,10) NOR and M(4,5) MIN/MAX) and service workload (two connections
+  // of 64, B(2,9)/B(2,12) NOR and M(4,4)/M(4,6) MIN/MAX) make them.
+  const std::uint64_t seed = 11;
+  std::set<std::uint64_t> fingerprints;
+  std::size_t trees = 0;
+  for (std::uint64_t i = 0; i < 512; ++i, ++trees) {
+    const std::uint64_t s = hash_combine(seed, i);
+    const Tree t = i % 2 == 0 ? make_uniform_iid_nor(2, 10, golden_bias(), s)
+                              : make_uniform_iid_minimax(4, 5, -1000, 1000, s);
+    fingerprints.insert(t.fingerprint());
+  }
+  for (std::uint64_t conn = 0; conn < 2; ++conn) {
+    for (std::uint64_t i = 0; i < 64; ++i, ++trees) {
+      const std::uint64_t s = hash_combine(hash_combine(seed, conn), i);
+      const bool large = i % 32 == 31 - conn % 2;
+      const Tree t = i % 2 == 0
+                         ? make_uniform_iid_nor(2, large ? 12 : 9, golden_bias(), s)
+                         : make_uniform_iid_minimax(4, large ? 6 : 4, -1000, 1000, s);
+      fingerprints.insert(t.fingerprint());
+    }
+  }
+  EXPECT_EQ(trees, 640u);
+  EXPECT_EQ(fingerprints.size(), trees);
 }
 
 }  // namespace
